@@ -8,13 +8,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from decimal import Decimal, ROUND_HALF_UP
 
 from . import graphs, verify
 from .diversity import SNAP_TOL, bin_opinions, max_diversity
 from .dynamics import steady_state
 from .errors import OpdivError
-from .placement import brute_force_best, predict_cycle, predict_path, predict_y_tree, y_tree_structure
+from .placement import (
+    _round3,
+    brute_force_best,
+    predict_cycle,
+    predict_path,
+    predict_y_tree,
+    y_tree_structure,
+)
 
 DEFAULT_BOUNDS = {"paths": 15, "cycles": 15, "ytrees": 5, "trees-R2": 12, "appendix": 12}
 
@@ -23,10 +29,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's default 2
         self.print_usage(sys.stderr)
         sys.exit(f"error: {message}")
-
-
-def _round3(x: float) -> str:
-    return str(Decimal(repr(x)).quantize(Decimal("0.001"), rounding=ROUND_HALF_UP))
 
 
 def _load_graph(args) -> graphs.Graph:

@@ -12,6 +12,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import OpinionOutOfRange, TooFewFollowers, UnsupportedBinCount
 from .dynamics import OpinionVector
 
@@ -40,15 +42,20 @@ class DiversityScore:
 
 
 def bin_index(value: float, R: int, snap_tol: float = SNAP_TOL) -> int:
-    """1-based bin index of a single opinion."""
+    """1-based bin index of a single opinion.
+
+    An opinion within snap_tol of a boundary k/R lands in bin k + 1 (capped at
+    R); any other lands in bin ⌊value·R⌋ + 1. `histogram_rows` applies the
+    same rule to a whole array.
+    """
     if not (-snap_tol <= value <= 1 + snap_tol):
         raise OpinionOutOfRange(f"opinion {value} outside [0, 1]")
-    nearest = round(value * R)
-    if abs(value - nearest / R) <= snap_tol:
-        value = nearest / R
-    if value >= 1.0:
+    k = round(value * R)
+    if abs(value - k / R) > snap_tol:
+        k = math.floor(value * R)
+    if k >= R:
         return R
-    return int(math.floor(value * R)) + 1
+    return k + 1 if k > 0 else 1
 
 
 def bin_opinions(x: OpinionVector, R: int, snap_tol: float = SNAP_TOL) -> BinHistogram:
@@ -59,6 +66,34 @@ def bin_opinions(x: OpinionVector, R: int, snap_tol: float = SNAP_TOL) -> BinHis
     for v in x.values.values():
         counts[bin_index(v, R, snap_tol) - 1] += 1
     return BinHistogram(R=R, counts=tuple(counts))
+
+
+def histogram_rows(X: np.ndarray, R: int, snap_tol: float = SNAP_TOL) -> np.ndarray:
+    """Bin counts of every row of an opinion matrix, as an (m, R) array.
+
+    Row i of the result is `bin_opinions` of row i of X, by the same snap rule
+    as `bin_index`, computed for all rows at once.
+    """
+    if R < 2:
+        raise UnsupportedBinCount(f"need R >= 2, got {R}")
+    inside = (X >= -snap_tol) & (X <= 1 + snap_tol)
+    if not inside.all():
+        raise OpinionOutOfRange(f"opinion {X[~inside][0]} outside [0, 1]")
+    XR = X * R
+    k = np.rint(XR)
+    bins = np.where(np.abs(X - k / R) <= snap_tol, k, np.floor(XR))
+    bins = np.clip(bins, 0, R - 1).astype(np.intp) + R * np.arange(len(X))[:, None]
+    return np.bincount(bins.ravel(), minlength=len(X) * R).reshape(len(X), R)
+
+
+def score_rows(counts: np.ndarray) -> tuple:
+    """(Simpson, Shannon) arrays for an (m, R) array of histograms of n_f >= 2 opinions each."""
+    n_f = counts.sum(axis=1)
+    simpson = 1.0 - (counts * (counts - 1)).sum(axis=1) / (n_f * (n_f - 1))
+    p = counts / n_f[:, None]
+    # 0·ln(0) = 0; + 0.0 normalizes the -0.0 of a single fully-occupied bin
+    shannon = -(p * np.log(np.where(counts > 0, p, 1.0))).sum(axis=1) + 0.0
+    return simpson, shannon
 
 
 def simpson_index(h: BinHistogram) -> float:

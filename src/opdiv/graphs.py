@@ -131,6 +131,11 @@ def build_graph(n: int, edges) -> Graph:
         if key in seen:
             raise DuplicateEdge(f"duplicate edge {key}")
         seen.add(key)
+    if n > 1 and len(seen) < n - 1:
+        # checked before anything n-sized exists, so a huge header fails fast
+        raise DisconnectedGraph(
+            f"{len(seen)} edges cannot connect {n} nodes (need at least {n - 1})"
+        )
     g = Graph(n=n, edges=frozenset(seen))
     _check_connected(g)
     return g

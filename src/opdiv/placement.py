@@ -12,10 +12,13 @@ import json
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 
-from .diversity import DiversityScore, SNAP_TOL, bin_opinions, score
+import numpy as np
+
+from .diversity import DiversityScore, SNAP_TOL, bin_opinions, histogram_rows, score_rows
 from .dynamics import OpinionVector, steady_state
-from .errors import LeaderNotLeaf, NotATree, NotAYTree, TooFewFollowers
+from .errors import InvalidLeaderConfig, LeaderNotLeaf, NotATree, NotAYTree, TooFewFollowers
 from .graphs import Graph, partition_followers, single_pair, tree_path
+from .resistance import inverse_grounded_at
 
 TIE_TOL = 1e-9
 
@@ -58,15 +61,27 @@ def _round3(x: float) -> str:
 
 
 def brute_force_best(g: Graph, l0: int, R: int, snap_tol: float = SNAP_TOL) -> PlacementResult:
-    """Evaluate every candidate l1 ≠ l0 and return the full score table."""
+    """Evaluate every candidate l1 ≠ l0 and return the full score table.
+
+    One inverse serves every candidate. With G the inverse of the Laplacian
+    grounded at l0 alone, the follower opinions for the 1-leader at l1 are
+    G[:, l1] / G[l1, l1]: the probability that a random walk from each node
+    hits l1 before l0. A table therefore costs one O(n³) factorisation.
+    """
     if g.n - 2 < 2:
         raise TooFewFollowers(f"n={g.n} leaves fewer than 2 followers after placing l1")
-    scores = {}
-    for l1 in range(1, g.n + 1):
-        if l1 == l0:
-            continue
-        x = steady_state(g, single_pair(l0, l1))
-        scores[l1] = score(bin_opinions(x, R, snap_tol))
+    if not 1 <= l0 <= g.n:
+        raise InvalidLeaderConfig(f"leader {l0} outside 1..{g.n}")
+    green = inverse_grounded_at(g, {l0})
+    G = green.inv
+    m = len(G)
+    # row j: the opinions with the 1-leader at candidate j, minus its own entry
+    X = (G / np.diag(G)).T[~np.eye(m, dtype=bool)].reshape(m, m - 1)
+    simpson, shannon = score_rows(histogram_rows(X, R, snap_tol))
+    scores = {
+        v: DiversityScore(simpson=s, shannon=h)
+        for v, s, h in zip(green.follower_index, simpson.tolist(), shannon.tolist())
+    }
     best_s = max(s.simpson for s in scores.values())
     best_h = max(s.shannon for s in scores.values())
     return PlacementResult(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAFollower, SolveFailure
-from .graphs import Graph, LeaderConfig, laplacian_blocks
+from .graphs import Graph, LeaderConfig
 
 INVERSE_TOL = 1e-10  # per-entry tolerance on inv @ Lff − I
 
@@ -36,15 +36,29 @@ class GroundedInverse:
 
 def grounded_inverse(g: Graph, lc: LeaderConfig) -> GroundedInverse:
     """Dense inverse of Lff, checked against the identity per entry."""
-    blocks = laplacian_blocks(g, lc)
+    lc.validate(g)
+    return inverse_grounded_at(g, lc.leaders)
+
+
+def inverse_grounded_at(g: Graph, grounded) -> GroundedInverse:
+    """Inverse of the Laplacian with the `grounded` nodes' rows and columns removed.
+
+    `grounded` is a non-empty proper subset of 1..n; the callers validate it.
+    Every entry of inv @ Lff − I must be within INVERSE_TOL, else SolveFailure.
+    Grounding a single node l0 gives the Green's function whose diagonal entry
+    at u is the l0–u effective resistance.
+    """
+    followers = [v for v in range(1, g.n + 1) if v not in grounded]
+    keep = [v - 1 for v in followers]
+    Lff = g.laplacian()[np.ix_(keep, keep)]
     try:
-        inv = np.linalg.inv(blocks.Lff)
+        inv = np.linalg.inv(Lff)
     except np.linalg.LinAlgError as exc:
         raise SolveFailure(f"grounded Laplacian is singular: {exc}") from exc
-    err = np.max(np.abs(inv @ blocks.Lff - np.eye(len(inv))))
-    if err > INVERSE_TOL:
+    err = np.max(np.abs(inv @ Lff - np.eye(len(inv))))
+    if not err <= INVERSE_TOL:
         raise SolveFailure(f"inverse check failed: max entry error {err:.3e}")
-    return GroundedInverse(inv=inv, follower_index=blocks.follower_index)
+    return GroundedInverse(inv=inv, follower_index={v: i for i, v in enumerate(followers)})
 
 
 def pairwise_resistance(gi: GroundedInverse, u: int, v: int) -> float:

@@ -66,6 +66,23 @@ class TestPlace:
         assert "predicted optimal (ytree): [6, 7]" in out
         assert "prediction agrees with brute force: yes" in out
 
+    def test_path_boundary_opinions_keep_both_endpoints(self, capsys):
+        # with l1 = 100 the followers sit exactly on the bin boundaries i/98, one per bin
+        code, out, _ = run(capsys, "place", "--gen", "path:100", "--l0", "2", "--R", "nf",
+                           "--format", "json")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["argmax_simpson"] == [99, 100]
+        assert payload["argmax_shannon"] == [99, 100]
+
+    def test_cycle_boundary_opinions_binned_exactly(self, capsys):
+        # l1 = 3 puts follower 2 at 1/2 = 49/98 and the long arc at i/98: one bin holds two
+        code, out, _ = run(capsys, "place", "--gen", "cycle:100", "--l0", "1", "--R", "nf",
+                           "--format", "json")
+        assert code == 0
+        simpson = json.loads(out)["scores"]["3"]["simpson"]
+        assert simpson == pytest.approx(1 - 2 / (98 * 97), abs=1e-12)
+
     def test_bad_l0(self, capsys, fig3_file):
         code, _, err = run(capsys, "place", "--graph", fig3_file, "--l0", "99")
         assert code == 1 and "error" in err

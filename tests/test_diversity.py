@@ -1,6 +1,8 @@
 import itertools
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,12 +17,19 @@ from opdiv import (
     single_pair,
     steady_state,
 )
-from opdiv.diversity import BinHistogram, bin_index
+from opdiv.diversity import SNAP_TOL, BinHistogram, bin_index, histogram_rows
 from opdiv.errors import OpinionOutOfRange, TooFewFollowers, UnsupportedBinCount
 
 
 def histogram(*counts):
     return BinHistogram(R=len(counts), counts=tuple(counts))
+
+
+def weak_compositions(total, parts):
+    """Every tuple of `parts` non-negative integers summing to `total` (stars and bars)."""
+    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
+        edges = (-1, *bars, total + parts - 1)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
 class TestBinning:
@@ -42,6 +51,31 @@ class TestBinning:
         assert bin_index(0.25, 4) == 2
         assert bin_index(0.75, 4) == 4
         assert bin_index(1.0, 4) == 4
+
+    def test_exact_rational_opinions(self):
+        # opinions i/L as on paths and cycles, against floor(R·i/L) in exact arithmetic;
+        # an opinion on a boundary k/R must not land one bin low
+        for L in range(1, 61):
+            for R in range(2, 61):
+                exact = [min(math.floor(Fraction(i, L) * R), R - 1) + 1 for i in range(L + 1)]
+                values = [i / L for i in range(L + 1)]
+                assert [bin_index(v, R) for v in values] == exact
+                counts = histogram_rows(np.array([values]), R)[0]
+                assert counts.tolist() == [exact.count(b) for b in range(1, R + 1)]
+
+    @given(st.data())
+    def test_histogram_rows_match_bin_index(self, data):
+        # boundary values and arbitrary ones, with tolerances wide enough to
+        # snap outside [0, 1]
+        R = data.draw(st.integers(min_value=2, max_value=40))
+        snap_tol = data.draw(st.sampled_from([SNAP_TOL, 1e-6, 0.07]))
+        boundary = st.integers(min_value=0, max_value=R).map(lambda k: k / R)
+        anywhere = st.floats(min_value=-snap_tol, max_value=1 + snap_tol)
+        values = data.draw(st.lists(st.one_of(boundary, anywhere), min_size=1, max_size=30))
+        expect = [0] * R
+        for v in values:
+            expect[bin_index(v, R, snap_tol) - 1] += 1
+        assert histogram_rows(np.array([values]), R, snap_tol)[0].tolist() == expect
 
     def test_snap_tolerance(self):
         assert bin_index(0.25 - 1e-12, 4) == 2
@@ -97,13 +131,16 @@ class TestIndices:
     def test_simpson_maximal_iff_spread(self):
         # over all histograms with R = n_f <= 8: index hits the max iff no bin
         # holds more than one opinion
+        seen = set()
         for n_f in range(2, 9):
-            for counts in itertools.product(range(n_f + 1), repeat=n_f):
-                if sum(counts) != n_f:
-                    continue
+            for counts in weak_compositions(n_f, n_f):
+                seen.add(counts)
                 h = histogram(*counts)
                 maximal = simpson_index(h) >= max_diversity(n_f, n_f, "simpson") - 1e-12
                 assert maximal == all(c <= 1 for c in counts)
+        # every histogram of n_f opinions in n_f bins, each once: C(2n_f - 1, n_f - 1) of them
+        assert len(seen) == sum(math.comb(2 * n_f - 1, n_f - 1) for n_f in range(2, 9)) == 8787
+        assert all(len(c) == sum(c) for c in seen)
 
 
 class TestMaxDiversity:

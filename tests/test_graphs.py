@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,8 @@ class TestBuildGraph:
     def test_disconnected(self):
         with pytest.raises(DisconnectedGraph):
             build_graph(4, [(1, 2), (3, 4)])
+        with pytest.raises(DisconnectedGraph):  # n - 1 edges, one node unreached
+            build_graph(4, [(1, 2), (2, 3), (1, 3)])
 
     def test_self_loop(self):
         with pytest.raises(SelfLoop):
@@ -194,6 +197,17 @@ class TestEdgeListFormat:
     def test_comments_and_blanks(self):
         text = "# a path\nn 3\n\n1 2  # first edge\n2 3\n"
         assert read_edge_list(text).edges == frozenset({(1, 2), (2, 3)})
+
+    def test_huge_header_fails_before_allocating(self):
+        # an n-entry adjacency for this header would exhaust memory
+        tracemalloc.start()
+        try:
+            with pytest.raises(DisconnectedGraph):
+                read_edge_list("n 1000000000000\n1 2\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_missing_header(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,14 @@
 import json
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
 from opdiv import (
+    bin_opinions,
     brute_force_best,
+    build_graph,
     check_balanced_tree_placement,
     cycle,
     max_diversity,
@@ -12,10 +16,155 @@ from opdiv import (
     predict_cycle,
     predict_path,
     predict_y_tree,
+    shannon_index,
+    single_pair,
+    steady_state,
     y_tree,
 )
-from opdiv.errors import LeaderNotLeaf, NotATree, NotAYTree, TooFewFollowers
-from opdiv.verify import verify_cycles, verify_paths, verify_trees_r2, verify_ytrees
+from opdiv.diversity import BinHistogram, SNAP_TOL, score
+from opdiv.errors import (
+    InvalidLeaderConfig,
+    LeaderNotLeaf,
+    NotATree,
+    NotAYTree,
+    OpinionOutOfRange,
+    SolveFailure,
+    TooFewFollowers,
+    UnsupportedBinCount,
+)
+from opdiv.placement import TIE_TOL
+from opdiv.verify import random_tree, verify_cycles, verify_paths, verify_trees_r2, verify_ytrees
+
+
+def per_candidate_table(g, l0, R, snap_tol=SNAP_TOL, opinions=None):
+    """Scores and argmax sets from one steady-state solve per candidate l1.
+
+    The reference for brute_force_best. `opinions` may hold the solves of an
+    earlier call on the same (g, l0), keyed by l1.
+    """
+    if opinions is None:
+        opinions = {l1: steady_state(g, single_pair(l0, l1)) for l1 in range(1, g.n + 1)
+                    if l1 != l0}
+    scores = {l1: score(bin_opinions(x, R, snap_tol)) for l1, x in opinions.items()}
+    best_s = max(s.simpson for s in scores.values())
+    best_h = max(s.shannon for s in scores.values())
+    return (
+        scores,
+        {v for v, s in scores.items() if s.simpson >= best_s - TIE_TOL},
+        {v for v, s in scores.items() if s.shannon >= best_h - TIE_TOL},
+    )
+
+
+def oracle_graphs():
+    """(label, graph) pairs: paths, cycles, Y-trees, Prüfer trees, trees plus edges."""
+    rng = random.Random(20181108)
+    out = [(f"path:{n}", path(n)) for n in (4, 5, 9, 16, 31)]
+    out += [(f"cycle:{n}", cycle(n)) for n in (4, 7, 12, 25)]
+    out += [(f"ytree:{a}", y_tree(*a)) for a in ((1, 1, 1), (2, 4, 2), (3, 1, 5), (5, 5, 5))]
+    for n in (6, 11, 18, 27, 40):
+        tree = random_tree(n, rng)
+        out.append((f"tree:{n}", tree))
+        edges = set(tree.edges)
+        while len(edges) < n - 1 + max(1, n // 10):
+            u, v = sorted(rng.sample(range(1, n + 1), 2))
+            edges.add((u, v))
+        out.append((f"tree+edges:{n}", build_graph(n, sorted(edges))))
+    return out
+
+
+ORACLE_GRAPHS = oracle_graphs()
+
+
+class TestKernelAgainstPerCandidateSolve:
+    @pytest.mark.parametrize("label,g", ORACLE_GRAPHS, ids=[label for label, _ in ORACLE_GRAPHS])
+    def test_scores_and_argmax_sets(self, label, g):
+        rng = random.Random(label)
+        for l0 in sorted(rng.sample(range(1, g.n + 1), min(g.n, 3))):
+            opinions = {l1: steady_state(g, single_pair(l0, l1)) for l1 in range(1, g.n + 1)
+                        if l1 != l0}
+            for R in (2, 5, g.n - 2):
+                for snap_tol in (SNAP_TOL, 1e-6):
+                    got = brute_force_best(g, l0, R, snap_tol)
+                    scores, arg_s, arg_h = per_candidate_table(g, l0, R, snap_tol, opinions)
+                    assert set(got.scores) == set(scores)
+                    for v, s in scores.items():
+                        assert abs(got.scores[v].simpson - s.simpson) <= 1e-12
+                        assert abs(got.scores[v].shannon - s.shannon) <= 1e-12
+                    assert got.argmax_simpson == arg_s and got.argmax_shannon == arg_h
+
+    @pytest.mark.parametrize("g,l0,R,snap_tol,error", [
+        (path(3), 1, 2, SNAP_TOL, TooFewFollowers),
+        (path(6), 1, 1, SNAP_TOL, UnsupportedBinCount),
+        (cycle(6), 2, 0, SNAP_TOL, UnsupportedBinCount),
+        (path(6), 1, 4, -0.1, OpinionOutOfRange),
+        (path(6), 0, 4, SNAP_TOL, InvalidLeaderConfig),
+        (cycle(5), 6, 2, SNAP_TOL, InvalidLeaderConfig),
+    ])
+    def test_same_exceptions(self, g, l0, R, snap_tol, error):
+        with pytest.raises(error):
+            per_candidate_table(g, l0, R, snap_tol)
+        with pytest.raises(error):
+            brute_force_best(g, l0, R, snap_tol)
+
+    def test_failed_inverse_check_raises(self, monkeypatch):
+        monkeypatch.setattr("opdiv.resistance.INVERSE_TOL", -1.0)
+        with pytest.raises(SolveFailure):
+            brute_force_best(path(6), 1, 4)
+
+
+def exact_path_opinions(n, k, j):
+    """Follower -> exact opinion on a path with l0 = k and l1 = j."""
+    def x(v):
+        if min(k, j) < v < max(k, j):
+            return Fraction(abs(v - k), abs(j - k))
+        beyond_l1 = v > j if j > k else v < j
+        return Fraction(int(beyond_l1))
+    return {v: x(v) for v in range(1, n + 1) if v not in (k, j)}
+
+
+def exact_cycle_opinions(n, j):
+    """Follower -> exact opinion on a cycle with l0 = 1 and l1 = j: i/L along each arc."""
+    return {v: Fraction(v - 1, j - 1) if v < j else Fraction(n + 1 - v, n + 1 - j)
+            for v in range(2, n + 1) if v != j}
+
+
+def exact_table(tables, R):
+    """Exact Simpson fractions, Shannon indices and argmax sets of exact opinions."""
+    simpson, shannon = {}, {}
+    for l1, opinions in tables.items():
+        counts = [0] * R
+        for x in opinions.values():
+            counts[min(math.floor(x * R), R - 1)] += 1
+        n_f = len(opinions)
+        simpson[l1] = 1 - Fraction(sum(c * (c - 1) for c in counts), n_f * (n_f - 1))
+        shannon[l1] = shannon_index(BinHistogram(R=R, counts=tuple(counts)))
+    best_h = max(shannon.values())
+    return (
+        simpson,
+        shannon,
+        {v for v, s in simpson.items() if s == max(simpson.values())},
+        {v for v, h in shannon.items() if h >= best_h - TIE_TOL},
+    )
+
+
+class TestKernelAgainstExactOpinions:
+    # opinions i/L fall exactly on bin boundaries, where a one-bin-low
+    # rounding error changes scores and argmax sets
+    @pytest.mark.parametrize("g,l0,tables", [
+        (path(100), 2, {j: exact_path_opinions(100, 2, j) for j in range(1, 101) if j != 2}),
+        (path(60), 45, {j: exact_path_opinions(60, 45, j) for j in range(1, 61) if j != 45}),
+        (cycle(100), 1, {j: exact_cycle_opinions(100, j) for j in range(2, 101)}),
+        (cycle(37), 1, {j: exact_cycle_opinions(37, j) for j in range(2, 38)}),
+    ])
+    def test_score_tables(self, g, l0, tables):
+        for R in (2, 5, g.n - 2):
+            got = brute_force_best(g, l0, R)
+            simpson, shannon, arg_s, arg_h = exact_table(tables, R)
+            assert set(got.scores) == set(simpson)
+            for v, s in got.scores.items():
+                assert abs(s.simpson - float(simpson[v])) <= 1e-12
+                assert abs(s.shannon - shannon[v]) <= 1e-12
+            assert got.argmax_simpson == arg_s and got.argmax_shannon == arg_h
 
 
 class TestBruteForce:
