@@ -57,17 +57,12 @@ def _detect_topology(g: graphs.Graph):
         return "cycle", None
     if g.is_tree() and max(degrees) <= 2:
         start = min(v for v in range(1, g.n + 1) if g.degree(v) == 1)
-        order = graphs.tree_path(g, start, _other_leaf(g, start))
-        return "path", order
+        return "path", list(graphs.rooted_tree(g, start).order)
     try:
         y_tree_structure(g)
         return "ytree", None
     except OpdivError:
         return None
-
-
-def _other_leaf(g: graphs.Graph, start: int) -> int:
-    return max(v for v in range(1, g.n + 1) if g.degree(v) == 1 and v != start)
 
 
 def _cycle_order(g: graphs.Graph, l0: int) -> list:
@@ -116,7 +111,7 @@ def cmd_place(args) -> int:
     prediction = _prediction(g, args.l0, R)
 
     if args.format == "json":
-        payload = json.loads(result.to_json())
+        payload = result.to_dict()
         payload["l0"] = args.l0
         payload["max_diversity"] = bounds
         if prediction:

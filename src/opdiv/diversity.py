@@ -46,7 +46,8 @@ def bin_index(value: float, R: int, snap_tol: float = SNAP_TOL) -> int:
 
     An opinion within snap_tol of a boundary k/R lands in bin k + 1 (capped at
     R); any other lands in bin ⌊value·R⌋ + 1. `histogram_rows` applies the
-    same rule to a whole array.
+    same rule to a whole array; this scalar form is the reference it is
+    tested against.
     """
     if not (-snap_tol <= value <= 1 + snap_tol):
         raise OpinionOutOfRange(f"opinion {value} outside [0, 1]")
@@ -59,19 +60,16 @@ def bin_index(value: float, R: int, snap_tol: float = SNAP_TOL) -> int:
 
 
 def bin_opinions(x: OpinionVector, R: int, snap_tol: float = SNAP_TOL) -> BinHistogram:
-    """Count opinions per bin."""
-    if R < 2:
-        raise UnsupportedBinCount(f"need R >= 2, got {R}")
-    counts = [0] * R
-    for v in x.values.values():
-        counts[bin_index(v, R, snap_tol) - 1] += 1
-    return BinHistogram(R=R, counts=tuple(counts))
+    """Count opinions per bin, by `histogram_rows` on the opinions as one row."""
+    values = np.fromiter(x.values.values(), dtype=float, count=len(x.values))
+    counts = histogram_rows(values[None, :], R, snap_tol)[0]
+    return BinHistogram(R=R, counts=tuple(counts.tolist()))
 
 
 def histogram_rows(X: np.ndarray, R: int, snap_tol: float = SNAP_TOL) -> np.ndarray:
     """Bin counts of every row of an opinion matrix, as an (m, R) array.
 
-    Row i of the result is `bin_opinions` of row i of X, by the same snap rule
+    Row i of the result counts the bins of row i of X, by the same snap rule
     as `bin_index`, computed for all rows at once.
     """
     if R < 2:

@@ -224,27 +224,86 @@ def laplacian_blocks(g: Graph, lc: LeaderConfig) -> LaplacianBlocks:
     )
 
 
-def tree_path(g: Graph, a: int, b: int) -> list:
-    """Unique path between a and b in a tree, inclusive of both endpoints."""
+@dataclass(frozen=True)
+class RootedTree:
+    """A tree rooted at one node by a single BFS.
+
+    `order` lists the nodes in BFS order, so every node comes after its
+    parent. `parent` and `depth` are indexed by label (index 0 unused);
+    the root's parent is 0 and depth[v] is the distance d(root, v).
+    """
+
+    root: int
+    order: tuple
+    parent: tuple
+    depth: tuple
+
+    def path_up(self, v: int) -> list:
+        """Nodes from v up to the root, both included."""
+        _check_node(len(self.parent) - 1, v)
+        out = [v]
+        while v != self.root:
+            v = self.parent[v]
+            out.append(v)
+        return out
+
+    def projection(self, target: int) -> tuple:
+        """π(v) for every label v: the node where v's path meets the root–target spine.
+
+        Spine nodes project to themselves, so π(root) = root and
+        π(target) = target. Indexed by label; index 0 is unused.
+        """
+        pi = [0] * len(self.parent)
+        for v in self.path_up(target):
+            pi[v] = v
+        for v in self.order:
+            if not pi[v]:
+                pi[v] = pi[self.parent[v]]
+        return tuple(pi)
+
+    def partition(self, target: int) -> tuple:
+        """(P1, P2, P3) for leaders at the root and `target`.
+
+        A follower's path to the target passes through the root exactly when
+        π(v) is the root, and symmetrically for P3; P2 meets the spine
+        between them.
+        """
+        pi = self.projection(target)
+        p1, p2, p3 = set(), set(), set()
+        for v in self.order:
+            if v == self.root or v == target:
+                continue
+            t = pi[v]
+            (p1 if t == self.root else p3 if t == target else p2).add(v)
+        return p1, p2, p3
+
+
+def _check_node(n: int, v: int) -> None:
+    if not 1 <= v <= n:
+        raise EndpointOutOfRange(f"node {v} outside 1..{n}")
+
+
+def rooted_tree(g: Graph, root: int) -> RootedTree:
+    """Parent, depth and BFS order of a tree rooted at `root`, from one BFS."""
     if not g.is_tree():
         raise NotATree(f"graph has {len(g.edges)} edges, a tree on {g.n} nodes has {g.n - 1}")
-    if a == b:
-        return [a]
-    parent = {a: None}
-    queue = deque([a])
-    while queue:
-        v = queue.popleft()
-        if v == b:
-            break
-        for w in g.neighbors(v):
-            if w not in parent:
+    _check_node(g.n, root)
+    adj = g._adjacency
+    parent = [0] * (g.n + 1)
+    depth = [0] * (g.n + 1)
+    order = [root]
+    for v in order:  # grows while it is read: a queue that keeps the visit order
+        for w in adj[v]:
+            if w != parent[v]:  # in a tree the parent is the only neighbor already seen
                 parent[w] = v
-                queue.append(w)
-    out = [b]
-    while parent[out[-1]] is not None:
-        out.append(parent[out[-1]])
-    out.reverse()
-    return out
+                depth[w] = depth[v] + 1
+                order.append(w)
+    return RootedTree(root=root, order=tuple(order), parent=tuple(parent), depth=tuple(depth))
+
+
+def tree_path(g: Graph, a: int, b: int) -> list:
+    """Unique path between a and b in a tree, inclusive of both endpoints."""
+    return rooted_tree(g, a).path_up(b)[::-1]
 
 
 def partition_followers(g: Graph, l0: int, l1: int) -> tuple:
@@ -253,19 +312,7 @@ def partition_followers(g: Graph, l0: int, l1: int) -> tuple:
     P1: followers whose path to l1 passes through l0. P3: symmetric with the
     roles swapped. P2: everything between.
     """
-    if not g.is_tree():
-        raise NotATree("follower partition is defined on trees")
-    p1, p2, p3 = set(), set(), set()
-    for v in range(1, g.n + 1):
-        if v in (l0, l1):
-            continue
-        if l0 in tree_path(g, v, l1):
-            p1.add(v)
-        elif l1 in tree_path(g, v, l0):
-            p3.add(v)
-        else:
-            p2.add(v)
-    return p1, p2, p3
+    return rooted_tree(g, l0).partition(l1)
 
 
 def read_edge_list(text: str) -> Graph:

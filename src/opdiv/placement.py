@@ -14,10 +14,9 @@ from decimal import Decimal, ROUND_HALF_UP
 
 import numpy as np
 
-from .diversity import DiversityScore, SNAP_TOL, bin_opinions, histogram_rows, score_rows
-from .dynamics import OpinionVector, steady_state
-from .errors import InvalidLeaderConfig, LeaderNotLeaf, NotATree, NotAYTree, TooFewFollowers
-from .graphs import Graph, partition_followers, single_pair, tree_path
+from .diversity import DiversityScore, SNAP_TOL, histogram_rows, score_rows
+from .errors import InvalidLeaderConfig, LeaderNotLeaf, NotAYTree, TooFewFollowers
+from .graphs import Graph, rooted_tree
 from .resistance import inverse_grounded_at
 
 TIE_TOL = 1e-9
@@ -32,8 +31,9 @@ class PlacementResult:
     argmax_shannon: frozenset
     R: int
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        """The JSON payload as plain data: R, the score table and both argmax sets."""
+        return {
             "R": self.R,
             "scores": {
                 str(v): {"simpson": s.simpson, "shannon": s.shannon}
@@ -42,7 +42,9 @@ class PlacementResult:
             "argmax_simpson": sorted(self.argmax_simpson),
             "argmax_shannon": sorted(self.argmax_shannon),
         }
-        return json.dumps(payload, indent=2)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     def to_table(self) -> str:
         """Aligned text table, one candidate per row, 3 decimals, half-up."""
@@ -148,11 +150,11 @@ def predict_y_tree(g: Graph, l0: int) -> frozenset:
     if g.degree(l0) != 1:
         raise LeaderNotLeaf(f"l0={l0} has degree {g.degree(l0)}, must be a leaf")
     others = [v for v in leaves if v != l0]
-    dists = {v: len(tree_path(g, l0, v)) - 1 for v in others}
-    best = max(dists.values())
+    depth = rooted_tree(g, l0).depth
+    best = max(depth[v] for v in others)
     out = set()
     for v in others:
-        if dists[v] == best:
+        if depth[v] == best:
             out.add(v)
             out.add(g.neighbors(v)[0])
     return frozenset(out)
@@ -161,18 +163,22 @@ def predict_y_tree(g: Graph, l0: int) -> frozenset:
 def check_balanced_tree_placement(g: Graph, l0: int, l1: int, R: int = 2) -> bool:
     """Certify an l1 placement on a tree as optimal for both measures at R = 2.
 
-    True iff |P1| = |P3| and the steady-state opinions of the P2 followers
-    split between the two bins with |c_1 − c_2| ≤ 1 (evaluated numerically).
-    A True result is sufficient, not necessary: optimal placements exist that
-    fail the |P1| = |P3| condition.
+    True iff |P1| = |P3| and the P2 opinions split between the two bins with
+    |c_1 − c_2| ≤ 1. The bins are exact: on a tree the opinion of v is
+    d(l0, π(v)) / D with D = d(l0, l1), where π(v) is the node where v's path
+    meets the l0–l1 spine, so v goes in the 0-based bin min(2·d(l0, π(v)) // D, 1)
+    and no solve or snap tolerance is involved. A True result is sufficient,
+    not necessary: optimal placements exist that fail the |P1| = |P3| condition.
     """
     if R != 2:
         raise ValueError(f"balanced-placement check is defined for R=2, got R={R}")
-    if not g.is_tree():
-        raise NotATree("balanced-placement check is defined on trees")
-    p1, p2, p3 = partition_followers(g, l0, l1)
+    if l0 == l1:
+        raise InvalidLeaderConfig(f"l0 and l1 are both node {l0}")
+    tree = rooted_tree(g, l0)
+    p1, p2, p3 = tree.partition(l1)
     if len(p1) != len(p3):
         return False
-    x = steady_state(g, single_pair(l0, l1))
-    h = bin_opinions(OpinionVector({v: x.values[v] for v in p2}), 2)
-    return abs(h.counts[0] - h.counts[1]) <= 1
+    pi = tree.projection(l1)
+    D = tree.depth[l1]
+    upper = sum(min(2 * tree.depth[pi[v]] // D, 1) for v in p2)  # c_2; c_1 = |P2| − c_2
+    return abs(len(p2) - 2 * upper) <= 1

@@ -12,7 +12,7 @@ import random
 from collections import deque
 
 from . import graphs
-from .diversity import bin_opinions, max_diversity
+from .diversity import max_diversity
 from .dynamics import steady_state
 from .placement import (
     TIE_TOL,
@@ -252,25 +252,23 @@ def verify_appendix(max_n: int, n_trees: int = 200, seed: int = DEFAULT_SEED) ->
                                     f"{label}: r({u},{v})={lhs} != r({u},{x})+r({x},{v})={rhs}"
                                 )
 
-        # branch-opinion equality and the cut identity at junctions
+        # branch-opinion equality and the cut identity at each junction: the
+        # interior spine node t = π(u) where an off-spine follower u hangs
         x = steady_state(g, lc)
-        spine = graphs.tree_path(g, l0, l1)
-        for t in spine[1:-1]:
-            if g.degree(t) < 3:
+        pi = graphs.rooted_tree(g, l0).projection(l1)
+        for u in followers:
+            t = pi[u]
+            if t in (u, l0, l1):
                 continue
-            for u in followers:
-                if u == t or u in spine:
-                    continue
-                if t in graphs.tree_path(g, u, l0) and t in graphs.tree_path(g, u, l1):
-                    if abs(x.values[u] - x.values[t]) > NUM_TOL:
-                        bad.append(f"{label}: opinion({u})={x.values[u]} != opinion({t})={x.values[t]}")
-                    ident = (
-                        leader_set_resistance(gi, u)
-                        - pairwise_resistance(gi, u, t)
-                        - leader_set_resistance(gi, t)
-                    )
-                    if abs(ident) > NUM_TOL:
-                        bad.append(f"{label}: cut identity at u={u}, t={t} off by {ident}")
+            if abs(x.values[u] - x.values[t]) > NUM_TOL:
+                bad.append(f"{label}: opinion({u})={x.values[u]} != opinion({t})={x.values[t]}")
+            ident = (
+                leader_set_resistance(gi, u)
+                - pairwise_resistance(gi, u, t)
+                - leader_set_resistance(gi, t)
+            )
+            if abs(ident) > NUM_TOL:
+                bad.append(f"{label}: cut identity at u={u}, t={t} off by {ident}")
 
         # grounded inverse vs. steady state
         blocks = graphs.laplacian_blocks(g, lc)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from opdiv import brute_force_best, cli, graphs
 from opdiv.cli import main
 
 from conftest import FIG3_EDGES
@@ -18,6 +19,24 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def round_trip_place_json(g, l0, R_spec):
+    """`place --format json` as built through to_json, json.loads and json.dumps."""
+    R = cli._resolve_r(R_spec, g.n)
+    result = brute_force_best(g, l0, R)
+    payload = json.loads(result.to_json())
+    payload["l0"] = l0
+    payload["max_diversity"] = cli._bounds(g.n - 2, R)
+    prediction = cli._prediction(g, l0, R)
+    if prediction:
+        kind, pred = prediction
+        payload["prediction"] = {
+            "topology": kind,
+            "nodes": sorted(pred),
+            "agrees": pred <= result.argmax_simpson and pred <= result.argmax_shannon,
+        }
+    return json.dumps(payload, indent=2) + "\n"
 
 
 class TestPlace:
@@ -59,6 +78,18 @@ class TestPlace:
         _, out1, _ = run(capsys, "place", "--graph", fig3_file, "--l0", "1", "--R", "nf")
         _, out2, _ = run(capsys, "place", "--graph", fig3_file, "--l0", "1", "--R", "nf")
         assert out1 == out2
+
+    @pytest.mark.parametrize("spec,l0,R", [
+        ("cycle:30", 5, "nf"),
+        ("path:12", 3, "2"),
+        ("ytree:2,4,2", 1, "nf"),
+        ("cycle:9", 2, "3"),
+    ])
+    def test_json_matches_round_trip_of_to_json(self, capsys, spec, l0, R):
+        code, out, _ = run(capsys, "place", "--gen", spec, "--l0", str(l0), "--R", R,
+                           "--format", "json")
+        assert code == 0
+        assert out == round_trip_place_json(graphs.generate(spec), l0, R)
 
     def test_ytree_prediction_reported(self, capsys):
         code, out, _ = run(capsys, "place", "--gen", "ytree:2,4,2", "--l0", "1", "--R", "nf")

@@ -76,6 +76,8 @@ class TestBinning:
         for v in values:
             expect[bin_index(v, R, snap_tol) - 1] += 1
         assert histogram_rows(np.array([values]), R, snap_tol)[0].tolist() == expect
+        x = OpinionVector(dict(enumerate(values, start=1)))
+        assert bin_opinions(x, R, snap_tol).counts == tuple(expect)
 
     def test_snap_tolerance(self):
         assert bin_index(0.25 - 1e-12, 4) == 2
@@ -84,6 +86,10 @@ class TestBinning:
     def test_out_of_range(self):
         with pytest.raises(OpinionOutOfRange):
             bin_opinions(OpinionVector({1: 1.5}), 2)
+        with pytest.raises(OpinionOutOfRange):
+            bin_opinions(OpinionVector({1: 0.5, 2: float("nan")}), 2)
+        with pytest.raises(UnsupportedBinCount):
+            bin_opinions(OpinionVector({1: 0.5}), 1)
 
     def test_count_conservation(self):
         x = steady_state(path(9), single_pair(2, 7))
