@@ -1,8 +1,9 @@
 """Steady-state follower opinions and ODE validation of the averaging dynamics.
 
-The converged opinions solve Lff · x_f = −Lfl · x_l, a small dense symmetric
-positive-definite system; the explicit-Euler integrator exists to cross-check
-that algebraic answer, not to replace it.
+The converged opinions solve Lff · x_f = −Lfl · x_l. They are read off the
+graph's cached Green's function (`resistance.reference_green`) with one solve
+whose size is the number of leaders; the explicit-Euler integrator exists to
+cross-check that algebraic answer, not to replace it.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import numpy as np
 
 from .errors import LeaderOrderViolation, SolveFailure, UnstableStep
 from .graphs import Graph, LeaderConfig, laplacian_blocks
+from .resistance import reference_green, solve_bordered, split
 
 RESIDUAL_TOL = 1e-10  # per follower, scaled by n_f at the check
 
@@ -54,18 +56,24 @@ def _leader_states(lc: LeaderConfig, leader_order: tuple) -> np.ndarray:
 
 
 def steady_state(g: Graph, lc: LeaderConfig) -> OpinionVector:
-    """Solve the grounded-Laplacian system for the converged opinion vector."""
-    blocks = laplacian_blocks(g, lc)
-    rhs = -blocks.Lfl @ _leader_states(lc, blocks.leader_order)
-    try:
-        x = np.linalg.solve(blocks.Lff, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SolveFailure(f"grounded Laplacian solve failed: {exc}") from exc
-    residual = np.linalg.norm(blocks.Lff @ x - rhs)
-    n_f = len(x)
-    if residual > RESIDUAL_TOL * n_f:
+    """Converged opinions from the graph's Green's function G̃, checked by their residual.
+
+    With S the leaders and b their values, the bordered solve
+    K·[s; c] = [b; 0] (`solve_bordered`) gives the opinions
+    x_F = G̃[F,S]·s + c: O(n·|S|) per call once G̃ exists. ‖(L·x)_F‖ must be
+    within RESIDUAL_TOL·n_f.
+    """
+    S, F = split(g, lc)
+    b = _leader_states(lc, (S + 1).tolist())
+    G = reference_green(g)
+    sol = solve_bordered(G, S, np.append(b, 0.0))
+    x = G[:, S] @ sol[:-1] + sol[-1]
+    x[S] = b
+    residual = np.linalg.norm(g.laplacian_times(x)[F])
+    n_f = len(F)
+    if not residual <= RESIDUAL_TOL * n_f:
         raise SolveFailure(f"residual {residual:.3e} exceeds {RESIDUAL_TOL * n_f:.3e}")
-    return OpinionVector({v: float(o) for v, o in zip(blocks.followers, x)})
+    return OpinionVector(dict(zip((F + 1).tolist(), x[F].tolist())))
 
 
 def path_closed_form(n: int, k: int, j: int) -> OpinionVector:

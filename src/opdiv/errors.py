@@ -56,6 +56,10 @@ class UnstableStep(OpdivError):
     pass
 
 
+class DenseTooLarge(OpdivError):
+    """An n×n dense array would exceed graphs.DENSE_BYTES_LIMIT."""
+
+
 # diversity
 class OpinionOutOfRange(OpdivError):
     pass

@@ -8,11 +8,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from math import isqrt
 
 import numpy as np
 
 from .errors import (
     ArmTooShort,
+    DenseTooLarge,
     DisconnectedGraph,
     DuplicateEdge,
     EndpointOutOfRange,
@@ -23,12 +25,66 @@ from .errors import (
 )
 
 
+DENSE_BYTES_LIMIT = 2**28  # 256 MiB: the largest n×n float64 array opdiv allocates (n ≤ 5,792)
+
+
+def check_dense_size(n: int) -> None:
+    """Raise DenseTooLarge when an n×n float64 array would exceed DENSE_BYTES_LIMIT.
+
+    The size is computed from n alone, before anything n×n exists.
+    """
+    need = 8 * n * n
+    if need > DENSE_BYTES_LIMIT:
+        raise DenseTooLarge(
+            f"a dense {n}×{n} matrix needs {need:,} bytes, over the limit of "
+            f"{DENSE_BYTES_LIMIT:,} bytes (n ≤ {isqrt(DENSE_BYTES_LIMIT // 8):,})"
+        )
+
+
+@dataclass(frozen=True)
+class EdgeIndex:
+    """0-based edge arrays of a graph, for Laplacian products in O(|E|) per column.
+
+    (rows[i], cols[i]) runs over every edge in both directions, grouped into
+    slots: slot j matches each node of degree > j with its (j+1)-th smallest
+    neighbour, so no row repeats within a slot. `slots` holds each slot's
+    (rows, cols) views and `degree` every node's degree as a float.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    slots: tuple
+    degree: np.ndarray
+
+
 @dataclass(frozen=True)
 class Graph:
-    """Connected simple undirected graph over nodes 1..n."""
+    """Connected simple undirected graph over nodes 1..n.
+
+    Derived structures (adjacency, edge arrays, rooted trees and the
+    Green's function of `resistance.reference_green`) are built on first use
+    and memoised on the instance; the graph is immutable, so they never go
+    stale.
+    """
 
     n: int
     edges: frozenset  # frozenset of (u, v) tuples with u < v
+
+    _adj_cache: dict = field(default=None, repr=False, compare=False)
+    _edge_cache: EdgeIndex = field(default=None, repr=False, compare=False)
+    _tree_cache: dict = field(default=None, repr=False, compare=False)
+    _green_cache: np.ndarray = field(default=None, repr=False, compare=False)
+
+    def _memo(self, name: str, build):
+        """The cache field `name`, filled by build() on first use.
+
+        Callers racing on first use each build the same value; any one is kept.
+        """
+        value = getattr(self, name)
+        if value is None:
+            value = build()
+            object.__setattr__(self, name, value)
+        return value
 
     def neighbors(self, v: int) -> tuple:
         return self._adjacency[v]
@@ -38,27 +94,54 @@ class Graph:
 
     @property
     def _adjacency(self) -> dict:
-        adj = object.__getattribute__(self, "_adj_cache")
-        if adj is None:
-            adj = {v: [] for v in range(1, self.n + 1)}
-            for u, v in self.edges:
-                adj[u].append(v)
-                adj[v].append(u)
-            adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
-            object.__setattr__(self, "_adj_cache", adj)
-        return adj
+        return self._memo("_adj_cache", self._build_adjacency)
 
-    _adj_cache: dict = field(default=None, repr=False, compare=False)
+    def _build_adjacency(self) -> dict:
+        adj = {v: [] for v in range(1, self.n + 1)}
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
+
+    @property
+    def edge_index(self) -> EdgeIndex:
+        return self._memo("_edge_cache", self._build_edge_index)
+
+    def _build_edge_index(self) -> EdgeIndex:
+        slots = []  # slots[j]: (node, neighbour) pairs for each node's (j+1)-th neighbour
+        for v, ns in self._adjacency.items():
+            for j, w in enumerate(ns):
+                if j == len(slots):
+                    slots.append([])
+                slots[j].append((v - 1, w - 1))
+        pairs = np.array([p for slot in slots for p in slot], dtype=np.intp).reshape(-1, 2)
+        rows, cols = pairs.T.copy()
+        ends = np.cumsum([len(slot) for slot in slots]).tolist()
+        return EdgeIndex(
+            rows=rows,
+            cols=cols,
+            slots=tuple((rows[a:b], cols[a:b]) for a, b in zip([0] + ends, ends)),
+            degree=np.array([len(ns) for ns in self._adjacency.values()], dtype=float),
+        )
 
     def laplacian(self) -> np.ndarray:
-        """Full n×n combinatorial Laplacian D − A."""
+        """Full n×n combinatorial Laplacian D − A; DenseTooLarge past DENSE_BYTES_LIMIT."""
+        check_dense_size(self.n)
+        ix = self.edge_index
         L = np.zeros((self.n, self.n))
-        for u, v in self.edges:
-            L[u - 1, v - 1] -= 1.0
-            L[v - 1, u - 1] -= 1.0
-            L[u - 1, u - 1] += 1.0
-            L[v - 1, v - 1] += 1.0
+        L[ix.rows, ix.cols] = -1.0
+        L.ravel()[:: self.n + 1] = ix.degree
         return L
+
+    def laplacian_times(self, P: np.ndarray) -> np.ndarray:
+        """L @ P for a vector or matrix with n rows, from the edge arrays in O(|E|) per column."""
+        ix = self.edge_index
+        if P.ndim == 1:
+            return ix.degree * P - np.bincount(ix.rows, P[ix.cols], self.n)
+        out = ix.degree[:, None] * P
+        for rows, cols in ix.slots:
+            out[rows] -= P[cols]
+        return out
 
     def is_tree(self) -> bool:
         return len(self.edges) == self.n - 1
@@ -261,14 +344,15 @@ class RootedTree:
                 pi[v] = pi[self.parent[v]]
         return tuple(pi)
 
-    def partition(self, target: int) -> tuple:
+    def partition(self, target: int, pi: tuple = None) -> tuple:
         """(P1, P2, P3) for leaders at the root and `target`.
 
         A follower's path to the target passes through the root exactly when
         π(v) is the root, and symmetrically for P3; P2 meets the spine
-        between them.
+        between them. `pi` is projection(target) when the caller has it.
         """
-        pi = self.projection(target)
+        if pi is None:
+            pi = self.projection(target)
         p1, p2, p3 = set(), set(), set()
         for v in self.order:
             if v == self.root or v == target:
@@ -284,7 +368,19 @@ def _check_node(n: int, v: int) -> None:
 
 
 def rooted_tree(g: Graph, root: int) -> RootedTree:
-    """Parent, depth and BFS order of a tree rooted at `root`, from one BFS."""
+    """Parent, depth and BFS order of a tree rooted at `root`, from one BFS.
+
+    Memoised per root on the graph: a second call with the same root
+    returns the same RootedTree.
+    """
+    trees = g._memo("_tree_cache", dict)
+    tree = trees.get(root)
+    if tree is None:
+        tree = trees[root] = _bfs_tree(g, root)
+    return tree
+
+
+def _bfs_tree(g: Graph, root: int) -> RootedTree:
     if not g.is_tree():
         raise NotATree(f"graph has {len(g.edges)} edges, a tree on {g.n} nodes has {g.n - 1}")
     _check_node(g.n, root)

@@ -175,10 +175,10 @@ def check_balanced_tree_placement(g: Graph, l0: int, l1: int, R: int = 2) -> boo
     if l0 == l1:
         raise InvalidLeaderConfig(f"l0 and l1 are both node {l0}")
     tree = rooted_tree(g, l0)
-    p1, p2, p3 = tree.partition(l1)
+    pi = tree.projection(l1)
+    p1, p2, p3 = tree.partition(l1, pi)
     if len(p1) != len(p3):
         return False
-    pi = tree.projection(l1)
     D = tree.depth[l1]
     upper = sum(min(2 * tree.depth[pi[v]] // D, 1) for v in p2)  # c_2; c_1 = |P2| − c_2
     return abs(len(p2) - 2 * upper) <= 1
