@@ -23,6 +23,8 @@ from .placement import (
 )
 
 DEFAULT_BOUNDS = {"paths": 15, "cycles": 15, "ytrees": 5, "trees-R2": 12, "appendix": 12}
+# the smallest bound at which each suite checks at least one instance
+MIN_BOUNDS = {"paths": 4, "cycles": 4, "ytrees": 1, "trees-R2": 5, "appendix": 5}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -149,6 +151,10 @@ def cmd_place(args) -> int:
 
 def cmd_verify(args) -> int:
     bound = args.bound if args.bound is not None else DEFAULT_BOUNDS[args.suite]
+    if bound < MIN_BOUNDS[args.suite]:
+        raise OpdivError(
+            f"--bound for {args.suite} must be at least {MIN_BOUNDS[args.suite]}, got {bound}"
+        )
     counterexamples = verify.SUITES[args.suite](bound)
     lines = []
     if args.suite == "paths":

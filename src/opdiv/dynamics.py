@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import LeaderOrderViolation, SolveFailure, UnstableStep
 from .graphs import Graph, LeaderConfig, laplacian_blocks
-from .resistance import reference_green, solve_bordered, split
+from .resistance import reference_green, solve_bordered
 
 RESIDUAL_TOL = 1e-10  # per follower, scaled by n_f at the check
 
@@ -63,7 +63,7 @@ def steady_state(g: Graph, lc: LeaderConfig) -> OpinionVector:
     x_F = G̃[F,S]·s + c: O(n·|S|) per call once G̃ exists. ‖(L·x)_F‖ must be
     within RESIDUAL_TOL·n_f.
     """
-    S, F = split(g, lc)
+    S, F = lc.split(g)
     b = _leader_states(lc, (S + 1).tolist())
     G = reference_green(g)
     sol = solve_bordered(G, S, np.append(b, 0.0))
@@ -123,14 +123,13 @@ def simulate(
         step = default_step(g)
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
-    lam_max = float(np.linalg.eigvalsh(blocks.Lff)[-1])
-    bound = 2.0 / lam_max
+    eigenvalues = np.linalg.eigvalsh(blocks.Lff)  # ascending
+    bound = 2.0 / float(eigenvalues[-1])
     if step > bound:
         raise UnstableStep(f"step {step} exceeds explicit-Euler bound 2/λ_max = {bound:.6g}")
     if horizon is None:
         # slowest mode decays like exp(-λ_min t); aim its residual below 1e-8
-        lam_min = float(np.linalg.eigvalsh(blocks.Lff)[0])
-        horizon = 20.0 / lam_min
+        horizon = 20.0 / float(eigenvalues[0])
 
     x = np.array([float(x0[v]) for v in followers])
     if np.any(x < 0) or np.any(x > 1):

@@ -176,6 +176,23 @@ class LeaderConfig:
         if len(self.leaders) >= g.n:
             raise InvalidLeaderConfig("follower set is empty")
 
+    def split(self, g: Graph) -> tuple:
+        """0-based (leader, follower) index arrays on g, both ascending, after validate(g).
+
+        The one place that orders followers: row i of every follower-indexed
+        array in opdiv belongs to node F[i] + 1.
+        """
+        self.validate(g)
+        S = np.array(sorted(self.leaders)) - 1
+        free = np.ones(g.n, dtype=bool)
+        free[S] = False
+        return S, np.flatnonzero(free)
+
+
+def row_index(F: np.ndarray) -> dict:
+    """Node label -> row for the 0-based index array F (follower order from `split`)."""
+    return dict(zip((F + 1).tolist(), range(len(F))))
+
 
 def single_pair(l0: int, l1: int) -> LeaderConfig:
     """Convenience constructor for the one-0-leader / one-1-leader problems."""
@@ -293,17 +310,13 @@ def generate(spec: str) -> Graph:
 
 def laplacian_blocks(g: Graph, lc: LeaderConfig) -> LaplacianBlocks:
     """Extract the follower-follower and follower-leader Laplacian blocks."""
-    lc.validate(g)
+    S, F = lc.split(g)
     L = g.laplacian()
-    followers = sorted(set(range(1, g.n + 1)) - lc.leaders)
-    leaders = sorted(lc.leaders)
-    fi = [v - 1 for v in followers]
-    li = [v - 1 for v in leaders]
     return LaplacianBlocks(
-        Lff=L[np.ix_(fi, fi)],
-        Lfl=L[np.ix_(fi, li)],
-        follower_index={v: i for i, v in enumerate(followers)},
-        leader_order=tuple(leaders),
+        Lff=L[np.ix_(F, F)],
+        Lfl=L[np.ix_(F, S)],
+        follower_index=row_index(F),
+        leader_order=tuple((S + 1).tolist()),
     )
 
 

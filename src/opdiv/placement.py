@@ -17,7 +17,7 @@ import numpy as np
 from .diversity import DiversityScore, SNAP_TOL, histogram_rows, score_rows
 from .errors import InvalidLeaderConfig, LeaderNotLeaf, NotAYTree, TooFewFollowers
 from .graphs import Graph, rooted_tree
-from .resistance import inverse_grounded_at
+from .resistance import grounded_laplacian_inverse
 
 TIE_TOL = 1e-9
 
@@ -74,22 +74,20 @@ def brute_force_best(g: Graph, l0: int, R: int, snap_tol: float = SNAP_TOL) -> P
         raise TooFewFollowers(f"n={g.n} leaves fewer than 2 followers after placing l1")
     if not 1 <= l0 <= g.n:
         raise InvalidLeaderConfig(f"leader {l0} outside 1..{g.n}")
-    green = inverse_grounded_at(g, {l0})
-    G = green.inv
+    F = np.flatnonzero(np.arange(g.n) != l0 - 1)
+    G = grounded_laplacian_inverse(g, F)
     m = len(G)
     # row j: the opinions with the 1-leader at candidate j, minus its own entry
     X = (G / np.diag(G)).T[~np.eye(m, dtype=bool)].reshape(m, m - 1)
     simpson, shannon = score_rows(histogram_rows(X, R, snap_tol))
-    scores = {
-        v: DiversityScore(simpson=s, shannon=h)
-        for v, s, h in zip(green.follower_index, simpson.tolist(), shannon.tolist())
-    }
-    best_s = max(s.simpson for s in scores.values())
-    best_h = max(s.shannon for s in scores.values())
+    candidates = F + 1
     return PlacementResult(
-        scores=scores,
-        argmax_simpson=frozenset(v for v, s in scores.items() if s.simpson >= best_s - TIE_TOL),
-        argmax_shannon=frozenset(v for v, s in scores.items() if s.shannon >= best_h - TIE_TOL),
+        scores={
+            v: DiversityScore(simpson=s, shannon=h)
+            for v, s, h in zip(candidates.tolist(), simpson.tolist(), shannon.tolist())
+        },
+        argmax_simpson=frozenset(candidates[simpson >= simpson.max() - TIE_TOL].tolist()),
+        argmax_shannon=frozenset(candidates[shannon >= shannon.max() - TIE_TOL].tolist()),
         R=R,
     )
 
@@ -160,7 +158,7 @@ def predict_y_tree(g: Graph, l0: int) -> frozenset:
     return frozenset(out)
 
 
-def check_balanced_tree_placement(g: Graph, l0: int, l1: int, R: int = 2) -> bool:
+def check_balanced_tree_placement(g: Graph, l0: int, l1: int) -> bool:
     """Certify an l1 placement on a tree as optimal for both measures at R = 2.
 
     True iff |P1| = |P3| and the P2 opinions split between the two bins with
@@ -170,8 +168,6 @@ def check_balanced_tree_placement(g: Graph, l0: int, l1: int, R: int = 2) -> boo
     and no solve or snap tolerance is involved. A True result is sufficient,
     not necessary: optimal placements exist that fail the |P1| = |P3| condition.
     """
-    if R != 2:
-        raise ValueError(f"balanced-placement check is defined for R=2, got R={R}")
     if l0 == l1:
         raise InvalidLeaderConfig(f"l0 and l1 are both node {l0}")
     tree = rooted_tree(g, l0)

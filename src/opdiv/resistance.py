@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAFollower, SolveFailure
-from .graphs import Graph, LeaderConfig
+from .graphs import Graph, LeaderConfig, row_index
 
 INVERSE_TOL = 1e-10  # per-entry tolerance on Lff @ inv − I
 
@@ -41,29 +41,20 @@ class GroundedInverse:
 def reference_green(g: Graph) -> np.ndarray:
     """G̃: the inverse of L grounded at node 1, padded with a zero row and column there.
 
-    Built on first use with the checked `inverse_grounded_at` and memoised on
-    g, read-only; it holds n² floats for as long as g lives. L·G̃ = I − e₁1ᵀ,
-    so for any leader set S, x = G̃·s + c·1 with s supported on S and 1ᵀs = 0
-    is harmonic off S.
+    Built on first use with the checked `grounded_laplacian_inverse` and
+    memoised on g, read-only; it holds n² floats for as long as g lives.
+    L·G̃ = I − e₁1ᵀ, so for any leader set S, x = G̃·s + c·1 with s supported
+    on S and 1ᵀs = 0 is harmonic off S.
     """
     return g._memo("_green_cache", lambda: _padded_green(g))
 
 
 def _padded_green(g: Graph) -> np.ndarray:
-    inv = inverse_grounded_at(g, {1}).inv
+    inv = grounded_laplacian_inverse(g, np.arange(1, g.n))
     G = np.zeros((g.n, g.n))
     G[1:, 1:] = inv
     G.flags.writeable = False
     return G
-
-
-def split(g: Graph, lc: LeaderConfig) -> tuple:
-    """0-based (leader, follower) index arrays of a validated config, both ascending."""
-    lc.validate(g)
-    S = np.array(sorted(lc.leaders)) - 1
-    free = np.ones(g.n, dtype=bool)
-    free[S] = False
-    return S, np.flatnonzero(free)
 
 
 def solve_bordered(G: np.ndarray, S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -89,7 +80,7 @@ def grounded_inverse(g: Graph, lc: LeaderConfig) -> GroundedInverse:
     once G̃ exists. The check reads Lff @ inv as the F rows of L @ P, where P
     holds inv in its F rows and zeros elsewhere: O(n·|E|), from the edge arrays.
     """
-    S, F = split(g, lc)
+    S, F = lc.split(g)
     G = reference_green(g)
     B = np.ones((len(F), len(S) + 1))
     B[:, :-1] = G[F[:, None], S]
@@ -97,27 +88,25 @@ def grounded_inverse(g: Graph, lc: LeaderConfig) -> GroundedInverse:
     P = np.zeros((g.n, len(F)))
     P[F] = inv
     _check_identity(g.laplacian_times(P)[F])
-    return GroundedInverse(inv=inv, follower_index=dict(zip((F + 1).tolist(), range(len(F)))))
+    return GroundedInverse(inv=inv, follower_index=row_index(F))
 
 
-def inverse_grounded_at(g: Graph, grounded) -> GroundedInverse:
-    """Inverse of the Laplacian with the `grounded` nodes' rows and columns removed.
+def grounded_laplacian_inverse(g: Graph, F: np.ndarray) -> np.ndarray:
+    """Inverse of L[F, F] for a non-empty 0-based index array F of the kept nodes.
 
-    `grounded` is a non-empty proper subset of 1..n; the callers validate it.
-    Every entry of Lff @ inv − I must be within INVERSE_TOL, else SolveFailure;
-    Lff is at hand here, and the dense product costs no more than the inverse.
-    Grounding a single node l0 gives the Green's function whose diagonal entry
-    at u is the l0–u effective resistance.
+    The other nodes are grounded, so F must leave at least one out; the
+    callers ensure it. Every entry of Lff @ inv − I must be within
+    INVERSE_TOL, else SolveFailure; Lff is at hand here, and the dense product
+    costs no more than the inverse. Keeping every node but l0 gives the
+    Green's function whose diagonal entry at u is the l0–u effective resistance.
     """
-    followers = [v for v in range(1, g.n + 1) if v not in grounded]
-    keep = np.array(followers) - 1
-    Lff = g.laplacian()[keep[:, None], keep]
+    Lff = g.laplacian()[F[:, None], F]
     try:
         inv = np.linalg.inv(Lff)
     except np.linalg.LinAlgError as exc:
         raise SolveFailure(f"grounded Laplacian is singular: {exc}") from exc
     _check_identity(Lff @ inv)
-    return GroundedInverse(inv=inv, follower_index={v: i for i, v in enumerate(followers)})
+    return inv
 
 
 def _check_identity(product: np.ndarray) -> None:

@@ -11,18 +11,19 @@ import math
 import random
 from collections import deque
 
+import numpy as np
+
 from . import graphs
 from .diversity import max_diversity
 from .dynamics import steady_state
 from .placement import (
-    TIE_TOL,
     brute_force_best,
     check_balanced_tree_placement,
     predict_cycle,
     predict_path,
     predict_y_tree,
 )
-from .resistance import grounded_inverse, leader_set_resistance, pairwise_resistance
+from .resistance import grounded_inverse
 
 NUM_TOL = 1e-9
 DEFAULT_SEED = 20180212
@@ -61,8 +62,9 @@ def audit_theorem2(max_n: int) -> list:
     """
     lines = []
     for n in range(4, max_n + 1):
+        g = graphs.path(n)
         for k in range(1, n + 1):
-            result = brute_force_best(graphs.path(n), k, 2)
+            result = brute_force_best(g, k, 2)
             j = n - k + 1 if k < n / 2 else n - k
             if j == k or not 1 <= j <= n:
                 verdict = f"invalid (j={j})"
@@ -83,8 +85,9 @@ def verify_paths(max_n: int) -> list:
     for n in range(4, max_n + 1):
         g = graphs.path(n)
         for k in range(1, n + 1):
-            for R in (n - 2, 2):
-                result = brute_force_best(g, k, R)
+            tables = {}
+            for R in dict.fromkeys((n - 2, 2)):  # one table at n = 4, where n − 2 = 2
+                result = tables[R] = brute_force_best(g, k, R)
                 pred = predict_path(n, k, "nf" if R != 2 else 2)
                 if not (pred <= result.argmax_simpson and pred <= result.argmax_shannon):
                     bad.append(
@@ -97,8 +100,7 @@ def verify_paths(max_n: int) -> list:
             n_f = n - 2
             m = min(k - 1, n - k)
             expect = 1.0 - m * (m - 1) / (n_f * (n_f - 1))
-            result = brute_force_best(g, k, n_f)
-            attained = max(s.simpson for s in result.scores.values())
+            attained = max(s.simpson for s in tables[n_f].scores.values())
             if abs(attained - expect) > NUM_TOL:
                 bad.append(f"path n={n} k={k}: Simpson optimum {attained} != {expect}")
     return bad
@@ -220,7 +222,8 @@ def verify_appendix(max_n: int, n_trees: int = 200, seed: int = DEFAULT_SEED) ->
     Checks cutpoint additivity through every separating follower, the
     branch-opinion equality at junctions on the leader path, the cut identity
     Lff⁻¹(u,u) − r(u,t) − Lff⁻¹(t,t) = 0, and consistency of the grounded
-    inverse with the steady-state solve.
+    inverse with the steady-state solve. Every resistance is read off one
+    matrix per tree, r = d·1ᵀ + 1·dᵀ − 2·Lff⁻¹ with d = diag(Lff⁻¹).
     """
     rng = random.Random(seed)
     bad = []
@@ -235,8 +238,13 @@ def verify_appendix(max_n: int, n_trees: int = 200, seed: int = DEFAULT_SEED) ->
         trees += 1
         label = f"tree n={n} edges={sorted(g.edges)} l0={l0} l1={l1}"
         lc = graphs.single_pair(l0, l1)
-        gi = grounded_inverse(g, lc)
-        followers = sorted(gi.follower_index)
+        _, F = lc.split(g)
+        inv = grounded_inverse(g, lc).inv
+        diag = np.diag(inv)
+        r = (diag[:, None] + diag[None, :] - 2.0 * inv).tolist()
+        d = diag.tolist()
+        row = graphs.row_index(F)
+        followers = (F + 1).tolist()
 
         # cutpoint additivity through every separating follower x
         for x in followers:
@@ -245,8 +253,8 @@ def verify_appendix(max_n: int, n_trees: int = 200, seed: int = DEFAULT_SEED) ->
                 for cv in comps[i + 1 :]:
                     for u in sorted(cu - {0}):
                         for v in sorted(cv - {0}):
-                            lhs = pairwise_resistance(gi, u, v)
-                            rhs = pairwise_resistance(gi, u, x) + pairwise_resistance(gi, x, v)
+                            lhs = r[row[u]][row[v]]
+                            rhs = r[row[u]][row[x]] + r[row[x]][row[v]]
                             if abs(lhs - rhs) > NUM_TOL:
                                 bad.append(
                                     f"{label}: r({u},{v})={lhs} != r({u},{x})+r({x},{v})={rhs}"
@@ -262,20 +270,16 @@ def verify_appendix(max_n: int, n_trees: int = 200, seed: int = DEFAULT_SEED) ->
                 continue
             if abs(x.values[u] - x.values[t]) > NUM_TOL:
                 bad.append(f"{label}: opinion({u})={x.values[u]} != opinion({t})={x.values[t]}")
-            ident = (
-                leader_set_resistance(gi, u)
-                - pairwise_resistance(gi, u, t)
-                - leader_set_resistance(gi, t)
-            )
+            ident = d[row[u]] - r[row[u]][row[t]] - d[row[t]]
             if abs(ident) > NUM_TOL:
                 bad.append(f"{label}: cut identity at u={u}, t={t} off by {ident}")
 
-        # grounded inverse vs. steady state
-        blocks = graphs.laplacian_blocks(g, lc)
-        xl = [0.0 if v in lc.zeros else 1.0 for v in blocks.leader_order]
-        recon = -gi.inv @ (blocks.Lfl @ xl)
+        # grounded inverse vs. steady state: Lfl·x_l is (L·x_l)[F] with x_l zero on F
+        xl = np.zeros(n)
+        xl[l1 - 1] = 1.0
+        recon = -inv @ g.laplacian_times(xl)[F]
         for v in followers:
-            if abs(recon[gi.follower_index[v]] - x.values[v]) > NUM_TOL:
+            if abs(recon[row[v]] - x.values[v]) > NUM_TOL:
                 bad.append(f"{label}: inverse-based opinion mismatch at node {v}")
     return bad
 

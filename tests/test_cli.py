@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from opdiv import brute_force_best, cli, graphs
+from opdiv import brute_force_best, cli, graphs, verify
 from opdiv.cli import main
 
 from conftest import FIG3_EDGES
@@ -146,6 +146,24 @@ class TestVerify:
         _, out1, _ = run(capsys, "verify", "appendix", "--bound", "8")
         _, out2, _ = run(capsys, "verify", "appendix", "--bound", "8")
         assert out1 == out2
+
+    @pytest.mark.parametrize("suite", sorted(cli.MIN_BOUNDS))
+    def test_bound_below_minimum_is_an_input_error(self, capsys, suite):
+        least = cli.MIN_BOUNDS[suite]
+        code, out, err = run(capsys, "verify", suite, "--bound", str(least - 1))
+        assert code == 1 and out == ""
+        assert err == f"error: --bound for {suite} must be at least {least}, got {least - 1}\n"
+
+    @pytest.mark.parametrize("suite", sorted(cli.MIN_BOUNDS))
+    def test_bound_at_minimum_runs(self, capsys, suite):
+        least = cli.MIN_BOUNDS[suite]
+        code, out, err = run(capsys, "verify", suite, "--bound", str(least))
+        assert code == 0 and err == ""
+        assert out.endswith(f"{suite} (bound {least}): 0 counterexample(s)\n")
+
+    def test_minimum_bounds_cover_every_suite(self):
+        assert cli.MIN_BOUNDS.keys() == cli.DEFAULT_BOUNDS.keys() == verify.SUITES.keys()
+        assert all(cli.MIN_BOUNDS[s] <= cli.DEFAULT_BOUNDS[s] for s in cli.MIN_BOUNDS)
 
 
 class TestDump:

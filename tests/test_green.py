@@ -246,8 +246,9 @@ class TestDenseSizeGuard:
         lambda g: brute_force_best(g, 1, 2),
         lambda g: laplacian_blocks(g, single_pair(1, g.n)),
         lambda g: simulate(g, single_pair(1, g.n), {}),
+        lambda g: resistance.grounded_laplacian_inverse(g, np.arange(1, g.n)),
     ], ids=["steady_state", "grounded_inverse", "brute_force_best", "laplacian_blocks",
-            "simulate"])
+            "simulate", "grounded_laplacian_inverse"])
     def test_raises_before_allocating(self, big_path, call):
         tracemalloc.start()
         try:
