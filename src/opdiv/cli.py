@@ -54,10 +54,9 @@ def _resolve_r(spec: str, n: int) -> int:
 
 def _detect_topology(g: graphs.Graph):
     """Classify as ('path'|'cycle'|'ytree', canonical node order) or None."""
-    degrees = [g.degree(v) for v in range(1, g.n + 1)]
-    if all(d == 2 for d in degrees):
+    if g.is_cycle():
         return "cycle", None
-    if g.is_tree() and max(degrees) <= 2:
+    if g.is_tree() and max(g.degree(v) for v in range(1, g.n + 1)) <= 2:
         start = min(v for v in range(1, g.n + 1) if g.degree(v) == 1)
         return "path", list(graphs.rooted_tree(g, start).order)
     try:
@@ -65,15 +64,6 @@ def _detect_topology(g: graphs.Graph):
         return "ytree", None
     except OpdivError:
         return None
-
-
-def _cycle_order(g: graphs.Graph, l0: int) -> list:
-    """Nodes in cycle order starting at l0, heading toward its smaller neighbor."""
-    order = [l0, min(g.neighbors(l0))]
-    while len(order) < g.n:
-        prev, cur = order[-2], order[-1]
-        order.append(next(w for w in g.neighbors(cur) if w != prev))
-    return order
 
 
 def _prediction(g: graphs.Graph, l0: int, R: int):
@@ -90,7 +80,7 @@ def _prediction(g: graphs.Graph, l0: int, R: int):
     if r_spec is None:
         return None
     if kind == "cycle":
-        order = _cycle_order(g, l0)
+        order = graphs.cycle_order(g, l0)
         pred = predict_cycle(g.n, r_spec)
     else:
         pred = predict_path(g.n, order.index(l0) + 1, r_spec)

@@ -8,7 +8,6 @@ rounding.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -32,6 +31,8 @@ class BinHistogram:
         return sum(self.counts)
 
     def to_json(self) -> str:
+        import json  # on first use, so that `import opdiv` does not load json
+
         return json.dumps({"R": self.R, "n_f": self.n_f, "counts": list(self.counts)})
 
 
@@ -82,6 +83,32 @@ def histogram_rows(X: np.ndarray, R: int, snap_tol: float = SNAP_TOL) -> np.ndar
     bins = np.where(np.abs(X - k / R) <= snap_tol, k, np.floor(XR))
     bins = np.clip(bins, 0, R - 1).astype(np.intp) + R * np.arange(len(X))[:, None]
     return np.bincount(bins.ravel(), minlength=len(X) * R).reshape(len(X), R)
+
+
+def level_thresholds(max_D: int, R: int, snap_tol: float = SNAP_TOL) -> np.ndarray:
+    """t[D, k − 1], the least integer a with a/D in 0-based bin ≥ k, for k = 1..R − 1.
+
+    The exact form of `bin_index` for opinions a/D with integers 0 ≤ a ≤ D,
+    one row for each D = 0..max_D (row 0 is unused). In integer arithmetic:
+    for 0 ≤ snap_tol < 1/(2R), a/D is in bin ≥ k iff a/D ≥ k/R − snap_tol,
+    that is 2aR ≥ 2kD − ⌊2·snap_tol·D·R⌋. From snap_tol = 1/(2R) on, every
+    opinion snaps to its nearest boundary, with ties to the even one as in
+    `round`. A negative snap_tol bins by floor, as `bin_index` does once its
+    range check has passed.
+    """
+    if R < 2:
+        raise UnsupportedBinCount(f"need R >= 2, got {R}")
+    # any snap_tol ≥ 1/(2R) bins alike, so clamping to [0, 1] keeps the ratio finite
+    num, den = min(max(snap_tol, 0.0), 1.0).as_integer_ratio()
+    snap = 2 * num * R  # 2·snap_tol·R = snap / den exactly
+    D = np.arange(max_D + 1)[:, None]
+    k = np.arange(1, R)
+    top = 2 * k * D
+    if snap >= den:  # nearest boundary: a tie 2aR = (2k − 1)D goes up for even k only
+        top += k % 2 - D
+    elif snap * max_D >= den:  # some ⌊2·snap_tol·D·R⌋ is nonzero
+        top -= np.array([snap * d // den for d in range(max_D + 1)])[:, None]
+    return -(-top // (2 * R))
 
 
 def score_rows(counts: np.ndarray) -> tuple:

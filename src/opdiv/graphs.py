@@ -146,6 +146,10 @@ class Graph:
     def is_tree(self) -> bool:
         return len(self.edges) == self.n - 1
 
+    def is_cycle(self) -> bool:
+        """True for a single cycle through all n nodes: n edges, every degree 2."""
+        return len(self.edges) == self.n and all(len(ns) == 2 for ns in self._adjacency.values())
+
 
 @dataclass(frozen=True)
 class LeaderConfig:
@@ -322,17 +326,21 @@ def laplacian_blocks(g: Graph, lc: LeaderConfig) -> LaplacianBlocks:
 
 @dataclass(frozen=True)
 class RootedTree:
-    """A tree rooted at one node by a single BFS.
+    """A tree rooted at one node by a single depth-first pass.
 
-    `order` lists the nodes in BFS order, so every node comes after its
-    parent. `parent` and `depth` are indexed by label (index 0 unused);
-    the root's parent is 0 and depth[v] is the distance d(root, v).
+    `order` lists the nodes in DFS preorder, so every node comes after its
+    parent and the subtree of v is the run of size[v] nodes starting at
+    order[index[v]]. `parent`, `depth`, `size` and `index` are indexed by
+    label (index 0 unused); the root's parent is 0, depth[v] is the distance
+    d(root, v) and size[v] counts the nodes of v's subtree, v included.
     """
 
     root: int
     order: tuple
     parent: tuple
     depth: tuple
+    size: tuple
+    index: tuple
 
     def path_up(self, v: int) -> list:
         """Nodes from v up to the root, both included."""
@@ -342,6 +350,11 @@ class RootedTree:
             v = self.parent[v]
             out.append(v)
         return out
+
+    def subtree(self, v: int) -> tuple:
+        """The nodes of v's subtree, v first, in preorder."""
+        start = self.index[v]
+        return self.order[start : start + self.size[v]]
 
     def projection(self, target: int) -> tuple:
         """π(v) for every label v: the node where v's path meets the root–target spine.
@@ -381,7 +394,7 @@ def _check_node(n: int, v: int) -> None:
 
 
 def rooted_tree(g: Graph, root: int) -> RootedTree:
-    """Parent, depth and BFS order of a tree rooted at `root`, from one BFS.
+    """Parent, depth, subtree size and DFS preorder of a tree rooted at `root`.
 
     Memoised per root on the graph: a second call with the same root
     returns the same RootedTree.
@@ -389,25 +402,46 @@ def rooted_tree(g: Graph, root: int) -> RootedTree:
     trees = g._memo("_tree_cache", dict)
     tree = trees.get(root)
     if tree is None:
-        tree = trees[root] = _bfs_tree(g, root)
+        tree = trees[root] = _dfs_tree(g, root)
     return tree
 
 
-def _bfs_tree(g: Graph, root: int) -> RootedTree:
+def _dfs_tree(g: Graph, root: int) -> RootedTree:
     if not g.is_tree():
         raise NotATree(f"graph has {len(g.edges)} edges, a tree on {g.n} nodes has {g.n - 1}")
     _check_node(g.n, root)
     adj = g._adjacency
     parent = [0] * (g.n + 1)
     depth = [0] * (g.n + 1)
-    order = [root]
-    for v in order:  # grows while it is read: a queue that keeps the visit order
-        for w in adj[v]:
+    order = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for w in reversed(adj[v]):  # smallest neighbour visited first
             if w != parent[v]:  # in a tree the parent is the only neighbor already seen
                 parent[w] = v
                 depth[w] = depth[v] + 1
-                order.append(w)
-    return RootedTree(root=root, order=tuple(order), parent=tuple(parent), depth=tuple(depth))
+                stack.append(w)
+    size = [0] + [1] * g.n
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    index = [0] * (g.n + 1)
+    for i, v in enumerate(order):
+        index[v] = i
+    return RootedTree(
+        root=root, order=tuple(order), parent=tuple(parent), depth=tuple(depth),
+        size=tuple(size), index=tuple(index),
+    )
+
+
+def cycle_order(g: Graph, start: int) -> list:
+    """Nodes of a cycle graph in cycle order from `start`, heading toward its smaller neighbor."""
+    order = [start, min(g.neighbors(start))]
+    while len(order) < g.n:
+        prev, cur = order[-2], order[-1]
+        order.append(next(w for w in g.neighbors(cur) if w != prev))
+    return order
 
 
 def tree_path(g: Graph, a: int, b: int) -> list:

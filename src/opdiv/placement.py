@@ -8,15 +8,20 @@ brute force in tests rather than trusted.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 
 import numpy as np
 
-from .diversity import DiversityScore, SNAP_TOL, histogram_rows, score_rows
-from .errors import InvalidLeaderConfig, LeaderNotLeaf, NotAYTree, TooFewFollowers
-from .graphs import Graph, rooted_tree
+from .diversity import DiversityScore, SNAP_TOL, histogram_rows, level_thresholds, score_rows
+from .errors import (
+    InvalidLeaderConfig,
+    LeaderNotLeaf,
+    NotAYTree,
+    OpinionOutOfRange,
+    TooFewFollowers,
+)
+from .graphs import Graph, check_dense_size, cycle_order, rooted_tree
 from .resistance import grounded_laplacian_inverse
 
 TIE_TOL = 1e-9
@@ -44,6 +49,8 @@ class PlacementResult:
         }
 
     def to_json(self) -> str:
+        import json  # on first use, so that `import opdiv` does not load json
+
         return json.dumps(self.to_dict(), indent=2)
 
     def to_table(self) -> str:
@@ -65,31 +72,101 @@ def _round3(x: float) -> str:
 def brute_force_best(g: Graph, l0: int, R: int, snap_tol: float = SNAP_TOL) -> PlacementResult:
     """Evaluate every candidate l1 ≠ l0 and return the full score table.
 
-    One inverse serves every candidate. With G the inverse of the Laplacian
-    grounded at l0 alone, the follower opinions for the 1-leader at l1 are
-    G[:, l1] / G[l1, l1]: the probability that a random walk from each node
-    hits l1 before l0. A table therefore costs one O(n³) factorisation.
+    Each candidate's bin counts come from one of three engines, chosen by the
+    graph's shape: `tree_counts` on trees and `cycle_counts` on cycles count
+    the exact opinions a/D in integers; `dense_counts` serves every other
+    graph from one grounded inverse. The n×n size guard applies to all three.
+    Simpson's argmax compares the integer numerators Σ c(c − 1) exactly;
+    Shannon's keeps every candidate within TIE_TOL of the best.
     """
     if g.n - 2 < 2:
         raise TooFewFollowers(f"n={g.n} leaves fewer than 2 followers after placing l1")
     if not 1 <= l0 <= g.n:
         raise InvalidLeaderConfig(f"leader {l0} outside 1..{g.n}")
+    check_dense_size(g.n)
     F = np.flatnonzero(np.arange(g.n) != l0 - 1)
-    G = grounded_laplacian_inverse(g, F)
-    m = len(G)
-    # row j: the opinions with the 1-leader at candidate j, minus its own entry
-    X = (G / np.diag(G)).T[~np.eye(m, dtype=bool)].reshape(m, m - 1)
-    simpson, shannon = score_rows(histogram_rows(X, R, snap_tol))
+    engine = tree_counts if g.is_tree() else cycle_counts if g.is_cycle() else dense_counts
+    counts = engine(g, l0, F, R, snap_tol)
+    pairs = (counts * (counts - 1)).sum(axis=1)
+    simpson, shannon = score_rows(counts)
     candidates = F + 1
     return PlacementResult(
         scores={
             v: DiversityScore(simpson=s, shannon=h)
             for v, s, h in zip(candidates.tolist(), simpson.tolist(), shannon.tolist())
         },
-        argmax_simpson=frozenset(candidates[simpson >= simpson.max() - TIE_TOL].tolist()),
+        argmax_simpson=frozenset(candidates[pairs == pairs.min()].tolist()),
         argmax_shannon=frozenset(candidates[shannon >= shannon.max() - TIE_TOL].tolist()),
         R=R,
     )
+
+
+def dense_counts(g: Graph, l0: int, F: np.ndarray, R: int, snap_tol: float) -> np.ndarray:
+    """(m, R) bin counts, row j for the 1-leader at node F[j] + 1, from one inverse.
+
+    With G the inverse of the Laplacian grounded at l0 alone, the follower
+    opinions for the 1-leader at l1 are G[:, l1] / G[l1, l1]: the probability
+    that a random walk from each node hits l1 before l0. A table therefore
+    costs one O(n³) factorisation.
+    """
+    G = grounded_laplacian_inverse(g, F)
+    m = len(G)
+    # row j: the opinions with the 1-leader at candidate j, minus its own entry
+    X = (G / np.diag(G)).T[~np.eye(m, dtype=bool)].reshape(m, m - 1)
+    return histogram_rows(X, R, snap_tol)
+
+
+def tree_counts(g: Graph, l0: int, F: np.ndarray, R: int, snap_tol: float) -> np.ndarray:
+    """`dense_counts` on a tree, exact, from subtree sizes on the tree rooted at l0.
+
+    With D = depth(l1) and p_a the ancestor of l1 at depth a, every follower
+    in the subtree of p_a and not in that of p_{a+1} has opinion a/D, so for
+    1 ≤ a ≤ D exactly size(p_a) − 1 followers have an opinion ≥ a/D. Each
+    bin count is then a difference of two such numbers, taken at the levels
+    `level_thresholds` gives. The ancestors of all candidates come from one
+    `searchsorted` over the nodes keyed by (depth, preorder index).
+    """
+    if not snap_tol >= 0:  # l1 next to l0 puts every follower at 0 or 1
+        raise OpinionOutOfRange(f"tree opinions 0 and 1 lie outside [{-snap_tol}, {1 + snap_tol}]")
+    tree = rooted_tree(g, l0)
+    n, order = g.n, np.array(tree.order)
+    depth, index, size = (np.array(a) for a in (tree.depth, tree.index, tree.size))
+    by_key = order[np.argsort(depth[order], kind="stable")]  # by depth, then preorder index
+    keys = depth[by_key] * n + index[by_key]
+    at_least = size[by_key] - 1  # followers at or above a/D when the node is p_a
+    cand = F + 1
+    levels = level_thresholds(max(tree.depth), R, snap_tol) * n
+    # p_a is the last node at depth a whose preorder index is at most l1's
+    p = np.searchsorted(keys, levels[depth[cand]] + index[cand][:, None], "right") - 1
+    return _bin_counts(n - 2, at_least[p])
+
+
+def cycle_counts(g: Graph, l0: int, F: np.ndarray, R: int, snap_tol: float) -> np.ndarray:
+    """`dense_counts` on a cycle, exact, from the two arcs between the leaders.
+
+    An arc of L edges holds L − 1 followers with opinions i/L, i = 1..L − 1,
+    so L − t of them have an opinion ≥ t/L for 1 ≤ t ≤ L. With l1 at p edges
+    from l0 the arcs have p and n − p edges.
+    """
+    # the extreme opinions are 1/(n − 1) and its mirror, on the arc next to l0
+    if not -snap_tol <= 1 / (g.n - 1):
+        raise OpinionOutOfRange(f"opinion {1 / (g.n - 1)} outside [{-snap_tol}, {1 + snap_tol}]")
+    position = np.empty(g.n + 1, dtype=np.intp)
+    position[cycle_order(g, l0)] = np.arange(g.n)
+    p = position[F + 1]
+    levels = level_thresholds(g.n - 1, R, snap_tol)
+    # (p − t_k(p)) + ((n − p) − t_k(n − p)) followers at or above boundary k
+    return _bin_counts(g.n - 2, g.n - levels[p] - levels[g.n - p])
+
+
+def _bin_counts(n_f: int, at_least: np.ndarray) -> np.ndarray:
+    """(m, R) bin counts from the followers at or above each inner boundary k = 1..R − 1."""
+    m, inner = at_least.shape
+    ge = np.empty((m, inner + 2), dtype=np.intp)
+    ge[:, 0] = n_f
+    ge[:, 1:-1] = at_least
+    ge[:, -1] = 0
+    return ge[:, :-1] - ge[:, 1:]
 
 
 def predict_path(n: int, k: int, R) -> frozenset:
@@ -164,17 +241,22 @@ def check_balanced_tree_placement(g: Graph, l0: int, l1: int) -> bool:
     True iff |P1| = |P3| and the P2 opinions split between the two bins with
     |c_1 − c_2| ≤ 1. The bins are exact: on a tree the opinion of v is
     d(l0, π(v)) / D with D = d(l0, l1), where π(v) is the node where v's path
-    meets the l0–l1 spine, so v goes in the 0-based bin min(2·d(l0, π(v)) // D, 1)
-    and no solve or snap tolerance is involved. A True result is sufficient,
-    not necessary: optimal placements exist that fail the |P1| = |P3| condition.
+    meets the l0–l1 spine. Rooted at l0, with p_a the ancestor of l1 at depth
+    a, every count is a difference of subtree sizes: |P1| = n − size(p_1) − 1,
+    |P3| = size(l1) − 1, |P2| = size(p_1) − size(l1), and the P2 followers in
+    the upper bin (opinion ≥ 1/2) number size(p_⌈D/2⌉) − size(l1). No solve
+    or snap tolerance is involved. A True result is sufficient, not
+    necessary: optimal placements exist that fail the |P1| = |P3| condition.
     """
     if l0 == l1:
         raise InvalidLeaderConfig(f"l0 and l1 are both node {l0}")
     tree = rooted_tree(g, l0)
-    pi = tree.projection(l1)
-    p1, p2, p3 = tree.partition(l1, pi)
-    if len(p1) != len(p3):
+    spine = tree.path_up(l1)  # spine[D − a] is p_a
+    D = len(spine) - 1
+    size = tree.size
+    p1 = g.n - size[spine[D - 1]] - 1
+    if p1 != size[l1] - 1:
         return False
-    D = tree.depth[l1]
-    upper = sum(min(2 * tree.depth[pi[v]] // D, 1) for v in p2)  # c_2; c_1 = |P2| − c_2
-    return abs(len(p2) - 2 * upper) <= 1
+    p2 = size[spine[D - 1]] - size[l1]
+    upper = size[spine[D - (D + 1) // 2]] - size[l1]  # c_2; c_1 = |P2| − c_2
+    return abs(p2 - 2 * upper) <= 1

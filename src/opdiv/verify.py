@@ -9,7 +9,6 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from collections import deque
 
 import numpy as np
 
@@ -183,37 +182,26 @@ def verify_trees_r2(max_n: int, n_trees: int = 200, seed: int = DEFAULT_SEED) ->
     return bad
 
 
-def _merged_components(g: graphs.Graph, leaders: set, removed: int) -> list:
-    """Connected components of followers after merging leaders and deleting one node."""
-    ground = 0  # sentinel for the merged leader node
-    adj = {ground: set()}
-    for v in range(1, g.n + 1):
-        if v in leaders or v == removed:
-            continue
-        adj[v] = set()
-    for u, v in g.edges:
-        cu = ground if u in leaders else u
-        cv = ground if v in leaders else v
-        if cu in adj and cv in adj and cu != cv:
-            adj[cu].add(cv)
-            adj[cv].add(cu)
+def _merged_components(tree: graphs.RootedTree, l1: int, x: int) -> list:
+    """Follower components after deleting follower x, with the two leaders merged.
+
+    `tree` is rooted at the 0-leader. Deleting x leaves x's child subtrees
+    and the rest of the tree, which holds the root; the child subtree that
+    holds l1 joins the rest through the merged leaders. The leader side comes
+    first, then the other subtrees by smallest label.
+    """
+    leaders = {tree.root, l1}
+    inside = set(tree.subtree(x))
+    side = set(tree.order) - inside
     comps = []
-    seen = set()
-    for s in adj:
-        if s in seen:
-            continue
-        comp = {s}
-        queue = deque([s])
-        seen.add(s)
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    queue.append(w)
-        comps.append(comp)
-    return comps
+    for c in tree.subtree(x)[1:]:
+        if tree.parent[c] == x:
+            sub = set(tree.subtree(c))
+            if l1 in sub:
+                side |= sub
+            else:
+                comps.append(sub)
+    return [side - leaders] + sorted(comps, key=min)
 
 
 def verify_appendix(max_n: int, n_trees: int = 200, seed: int = DEFAULT_SEED) -> list:
@@ -247,12 +235,13 @@ def verify_appendix(max_n: int, n_trees: int = 200, seed: int = DEFAULT_SEED) ->
         followers = (F + 1).tolist()
 
         # cutpoint additivity through every separating follower x
+        tree = graphs.rooted_tree(g, l0)
         for x in followers:
-            comps = _merged_components(g, {l0, l1}, x)
+            comps = _merged_components(tree, l1, x)
             for i, cu in enumerate(comps):
                 for cv in comps[i + 1 :]:
-                    for u in sorted(cu - {0}):
-                        for v in sorted(cv - {0}):
+                    for u in sorted(cu):
+                        for v in sorted(cv):
                             lhs = r[row[u]][row[v]]
                             rhs = r[row[u]][row[x]] + r[row[x]][row[v]]
                             if abs(lhs - rhs) > NUM_TOL:
@@ -263,7 +252,7 @@ def verify_appendix(max_n: int, n_trees: int = 200, seed: int = DEFAULT_SEED) ->
         # branch-opinion equality and the cut identity at each junction: the
         # interior spine node t = π(u) where an off-spine follower u hangs
         x = steady_state(g, lc)
-        pi = graphs.rooted_tree(g, l0).projection(l1)
+        pi = tree.projection(l1)
         for u in followers:
             t = pi[u]
             if t in (u, l0, l1):

@@ -8,6 +8,7 @@ scalar version, built from `pairwise_resistance`, `leader_set_resistance` and
 its message, so equal message lists mean equal values at every check.
 """
 import random
+from collections import deque
 
 import numpy as np
 import pytest
@@ -32,6 +33,43 @@ from opdiv.verify import random_tree
 from test_green import with_extra_edges
 
 
+def merged_components(g, leaders, removed):
+    """Follower components after merging the leaders into node 0 and deleting one node.
+
+    The earlier graph search behind `verify._merged_components`: the leader
+    side comes first (holding the sentinel 0), then the rest by smallest label.
+    """
+    ground = 0
+    adj = {ground: set()}
+    for v in range(1, g.n + 1):
+        if v in leaders or v == removed:
+            continue
+        adj[v] = set()
+    for u, v in g.edges:
+        cu = ground if u in leaders else u
+        cv = ground if v in leaders else v
+        if cu in adj and cv in adj and cu != cv:
+            adj[cu].add(cv)
+            adj[cv].add(cu)
+    comps = []
+    seen = set()
+    for s in adj:
+        if s in seen:
+            continue
+        comp = {s}
+        queue = deque([s])
+        seen.add(s)
+        while queue:
+            v = queue.popleft()
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.add(w)
+                    queue.append(w)
+        comps.append(comp)
+    return comps
+
+
 def scalar_verify_appendix(max_n, n_trees, seed=verify.DEFAULT_SEED):
     """`verify_appendix` as it was: one scalar `entry` lookup per resistance."""
     rng = random.Random(seed)
@@ -51,7 +89,7 @@ def scalar_verify_appendix(max_n, n_trees, seed=verify.DEFAULT_SEED):
         followers = sorted(gi.follower_index)
 
         for x in followers:
-            comps = verify._merged_components(g, {l0, l1}, x)
+            comps = merged_components(g, {l0, l1}, x)
             for i, cu in enumerate(comps):
                 for cv in comps[i + 1 :]:
                     for u in sorted(cu - {0}):
@@ -95,6 +133,16 @@ class TestAppendixAgainstScalarOracle:
         want = scalar_verify_appendix(max_n, n_trees)
         assert len(want) == messages
         assert verify.verify_appendix(max_n, n_trees) == want
+
+    def test_components_match_the_graph_search(self):
+        rng = random.Random(17)
+        for _ in range(150):
+            g = random_tree(rng.randrange(5, 25), rng)
+            l0, l1 = rng.sample(range(1, g.n + 1), 2)
+            tree = graphs.rooted_tree(g, l0)
+            for x in set(range(1, g.n + 1)) - {l0, l1}:
+                want = [comp - {0} for comp in merged_components(g, {l0, l1}, x)]
+                assert verify._merged_components(tree, l1, x) == want
 
     def test_default_run_clean_on_both(self):
         assert verify.verify_appendix(12) == scalar_verify_appendix(12, 200) == []

@@ -280,7 +280,8 @@ class TestRootedTreeMemo:
                 rooted_tree(fig3, 12)
         assert 12 not in fig3._tree_cache
 
-    def test_balanced_check_projects_once(self, monkeypatch):
+    def test_balanced_check_never_projects(self, monkeypatch):
+        # every count comes from subtree sizes on the memoised rooted tree
         calls = []
         projection = RootedTree.projection
 
@@ -291,6 +292,5 @@ class TestRootedTreeMemo:
         monkeypatch.setattr(RootedTree, "projection", counted)
         g = random_tree(14, random.Random(11))
         for l0, l1 in itertools.permutations(range(1, g.n + 1), 2):
-            calls.clear()
             check_balanced_tree_placement(g, l0, l1)
-            assert calls == [l1]
+        assert calls == []

@@ -107,9 +107,10 @@ class TestKernelAgainstPerCandidateSolve:
             brute_force_best(g, l0, R, snap_tol)
 
     def test_failed_inverse_check_raises(self, monkeypatch):
+        # a cycle with a chord: neither a tree nor a cycle, so the dense kernel serves it
         monkeypatch.setattr("opdiv.resistance.INVERSE_TOL", -1.0)
         with pytest.raises(SolveFailure):
-            brute_force_best(path(6), 1, 4)
+            brute_force_best(build_graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1), (1, 4)]), 1, 4)
 
 
 def exact_path_opinions(n, k, j):

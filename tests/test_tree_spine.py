@@ -3,7 +3,8 @@
 The oracles below are the earlier implementations: a BFS `tree_path` per
 follower for the P1/P2/P3 split, and a steady-state solve binned with the
 snap tolerance for the balanced-placement check. The package now reads both
-from one BFS from l0 and the projection π onto the l0–l1 spine.
+from one depth-first pass from l0: the split from the projection π onto the
+l0–l1 spine, the balanced check from subtree sizes along it.
 """
 import itertools
 import random
@@ -95,6 +96,20 @@ class TestRootedTree:
         pi = rooted_tree(fig3, 1).projection(11)
         # spine 1-2-7-10-11; 3..6 hang off 2, 8 and 9 off 7
         assert [pi[v] for v in range(1, 12)] == [1, 2, 2, 2, 2, 2, 7, 7, 7, 10, 11]
+
+    def test_sizes_and_preorder_subtrees(self):
+        # size[v] and subtree(v) against the nodes whose root path passes through v
+        rng = random.Random(9)
+        trees = list(labelled_trees(5)) + [random_tree(rng.randrange(6, 30), rng) for _ in range(10)]
+        for g in trees:
+            for root in range(1, g.n + 1):
+                t = rooted_tree(g, root)
+                below = {v: {u for u in range(1, g.n + 1) if v in t.path_up(u)}
+                         for v in range(1, g.n + 1)}
+                for v in range(1, g.n + 1):
+                    assert t.order[t.index[v]] == v
+                    assert t.size[v] == len(below[v])
+                    assert t.subtree(v)[0] == v and set(t.subtree(v)) == below[v]
 
     def test_path_order_from_a_leaf(self):
         assert list(rooted_tree(path(6), 6).order) == [6, 5, 4, 3, 2, 1]
