@@ -25,6 +25,7 @@ from .placement import (
 DEFAULT_BOUNDS = {"paths": 15, "cycles": 15, "ytrees": 5, "trees-R2": 12, "appendix": 12}
 # the smallest bound at which each suite checks at least one instance
 MIN_BOUNDS = {"paths": 4, "cycles": 4, "ytrees": 1, "trees-R2": 5, "appendix": 5}
+SNAP_HELP = f"bin-boundary snap tolerance, in [0, 1/(2R)) (default {SNAP_TOL:g})"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,18 +102,16 @@ def cmd_place(args) -> int:
     result = brute_force_best(g, args.l0, R, snap_tol=args.snap_tol)
     bounds = _bounds(g.n - 2, R)
     prediction = _prediction(g, args.l0, R)
+    if prediction:
+        kind, pred = prediction
+        agrees = pred <= result.argmax_simpson and pred <= result.argmax_shannon
 
     if args.format == "json":
         payload = result.to_dict()
         payload["l0"] = args.l0
         payload["max_diversity"] = bounds
         if prediction:
-            kind, pred = prediction
-            payload["prediction"] = {
-                "topology": kind,
-                "nodes": sorted(pred),
-                "agrees": pred <= result.argmax_simpson and pred <= result.argmax_shannon,
-            }
+            payload["prediction"] = {"topology": kind, "nodes": sorted(pred), "agrees": agrees}
         out = json.dumps(payload, indent=2) + "\n"
     elif args.format == "csv":
         lines = ["l1,simpson,shannon"]
@@ -130,8 +129,6 @@ def cmd_place(args) -> int:
                 f"max {measure}: attained {_round3(attained)}, bound {_round3(bound)}\n"
             )
         if prediction:
-            kind, pred = prediction
-            agrees = pred <= result.argmax_simpson and pred <= result.argmax_shannon
             parts.append(f"predicted optimal ({kind}): {sorted(pred)}\n")
             parts.append(f"prediction agrees with brute force: {'yes' if agrees else 'NO'}\n")
         out = "".join(parts)
@@ -194,7 +191,7 @@ def build_parser() -> _Parser:
     p.add_argument("--l0", type=int, required=True, help="0-leader node")
     p.add_argument("--R", default="nf", help="bin count: 2, nf, or an integer (default nf)")
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    p.add_argument("--snap-tol", type=float, default=SNAP_TOL, dest="snap_tol")
+    p.add_argument("--snap-tol", type=float, default=SNAP_TOL, dest="snap_tol", help=SNAP_HELP)
     p.add_argument("--out", help="write output to a file instead of stdout")
     p.set_defaults(func=cmd_place)
 
@@ -209,7 +206,7 @@ def build_parser() -> _Parser:
     p.add_argument("--l0", type=int, required=True, help="0-leader node")
     p.add_argument("--l1", type=int, required=True, help="1-leader node")
     p.add_argument("--R", default="nf", help="bin count: 2, nf, or an integer (default nf)")
-    p.add_argument("--snap-tol", type=float, default=SNAP_TOL, dest="snap_tol")
+    p.add_argument("--snap-tol", type=float, default=SNAP_TOL, dest="snap_tol", help=SNAP_HELP)
     p.add_argument("--out", help="write output to a file instead of stdout")
     p.set_defaults(func=cmd_dump)
     return parser

@@ -1,10 +1,11 @@
 """Opinion binning and the Simpson / Shannon diversity indices.
 
 Bins partition [0, 1] into R intervals, half-open except the last:
-b_i = [(i−1)/R, i/R) for i < R and b_R = [(R−1)/R, 1]. Opinions within a snap
-tolerance of a bin boundary are treated as exactly the boundary before the
-half-open rule applies, so closed-form values like i/n_f survive solver
-rounding.
+b_i = [(i−1)/R, i/R) for i < R and b_R = [(R−1)/R, 1]. One rule places an
+opinion x: its 0-based bin is min(⌊(x + snap_tol)·R⌋, R − 1), for a snap
+tolerance 0 ≤ snap_tol < 1/(2R). An opinion within snap_tol below a boundary
+k/R thus counts as lying on it, so closed-form values like i/n_f survive
+solver rounding.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OpinionOutOfRange, TooFewFollowers, UnsupportedBinCount
+from .errors import OpinionOutOfRange, SnapToleranceOutOfRange, TooFewFollowers, UnsupportedBinCount
 from .dynamics import OpinionVector
 
 SNAP_TOL = 1e-9
@@ -42,22 +43,26 @@ class DiversityScore:
     shannon: float
 
 
-def bin_index(value: float, R: int, snap_tol: float = SNAP_TOL) -> int:
-    """1-based bin index of a single opinion.
+def check_bins(R: int, snap_tol: float) -> None:
+    """Raise unless R ≥ 2 and 0 ≤ snap_tol < 1/(2R), the domain of the bin rule."""
+    if R < 2:
+        raise UnsupportedBinCount(f"need R >= 2, got {R}")
+    if not 0 <= 2 * R * snap_tol < 1:
+        raise SnapToleranceOutOfRange(
+            f"snap_tol {snap_tol} outside [0, 1/(2R)) = [0, {1 / (2 * R):g}) for R = {R}"
+        )
 
-    An opinion within snap_tol of a boundary k/R lands in bin k + 1 (capped at
-    R); any other lands in bin ⌊value·R⌋ + 1. `histogram_rows` applies the
-    same rule to a whole array; this scalar form is the reference it is
+
+def bin_index(value: float, R: int, snap_tol: float = SNAP_TOL) -> int:
+    """1-based bin index of a single opinion, min(⌊(value + snap_tol)·R⌋, R − 1) + 1.
+
+    The scalar reference that `histogram_rows` and `level_thresholds` are
     tested against.
     """
-    if not (-snap_tol <= value <= 1 + snap_tol):
+    check_bins(R, snap_tol)
+    if not -snap_tol <= value <= 1 + snap_tol:
         raise OpinionOutOfRange(f"opinion {value} outside [0, 1]")
-    k = round(value * R)
-    if abs(value - k / R) > snap_tol:
-        k = math.floor(value * R)
-    if k >= R:
-        return R
-    return k + 1 if k > 0 else 1
+    return min(math.floor((value + snap_tol) * R), R - 1) + 1
 
 
 def bin_opinions(x: OpinionVector, R: int, snap_tol: float = SNAP_TOL) -> BinHistogram:
@@ -70,18 +75,15 @@ def bin_opinions(x: OpinionVector, R: int, snap_tol: float = SNAP_TOL) -> BinHis
 def histogram_rows(X: np.ndarray, R: int, snap_tol: float = SNAP_TOL) -> np.ndarray:
     """Bin counts of every row of an opinion matrix, as an (m, R) array.
 
-    Row i of the result counts the bins of row i of X, by the same snap rule
-    as `bin_index`, computed for all rows at once.
+    Row i of the result counts the bins of row i of X, by the rule of
+    `bin_index`, computed for all rows at once.
     """
-    if R < 2:
-        raise UnsupportedBinCount(f"need R >= 2, got {R}")
+    check_bins(R, snap_tol)
     inside = (X >= -snap_tol) & (X <= 1 + snap_tol)
     if not inside.all():
         raise OpinionOutOfRange(f"opinion {X[~inside][0]} outside [0, 1]")
-    XR = X * R
-    k = np.rint(XR)
-    bins = np.where(np.abs(X - k / R) <= snap_tol, k, np.floor(XR))
-    bins = np.clip(bins, 0, R - 1).astype(np.intp) + R * np.arange(len(X))[:, None]
+    bins = np.minimum(np.floor((X + snap_tol) * R), R - 1).astype(np.intp)
+    bins += R * np.arange(len(X))[:, None]
     return np.bincount(bins.ravel(), minlength=len(X) * R).reshape(len(X), R)
 
 
@@ -89,26 +91,17 @@ def level_thresholds(max_D: int, R: int, snap_tol: float = SNAP_TOL) -> np.ndarr
     """t[D, k − 1], the least integer a with a/D in 0-based bin ≥ k, for k = 1..R − 1.
 
     The exact form of `bin_index` for opinions a/D with integers 0 ≤ a ≤ D,
-    one row for each D = 0..max_D (row 0 is unused). In integer arithmetic:
-    for 0 ≤ snap_tol < 1/(2R), a/D is in bin ≥ k iff a/D ≥ k/R − snap_tol,
-    that is 2aR ≥ 2kD − ⌊2·snap_tol·D·R⌋. From snap_tol = 1/(2R) on, every
-    opinion snaps to its nearest boundary, with ties to the even one as in
-    `round`. A negative snap_tol bins by floor, as `bin_index` does once its
-    range check has passed.
+    one row for each D = 0..max_D (row 0 is unused): a/D is in bin ≥ k iff
+    aR ≥ kD − snap_tol·D·R, that is t[D, k − 1] = ⌈(kD − ⌊snap_tol·D·R⌋)/R⌉,
+    computed in integers from the exact value of the float snap_tol.
     """
-    if R < 2:
-        raise UnsupportedBinCount(f"need R >= 2, got {R}")
-    # any snap_tol ≥ 1/(2R) bins alike, so clamping to [0, 1] keeps the ratio finite
-    num, den = min(max(snap_tol, 0.0), 1.0).as_integer_ratio()
-    snap = 2 * num * R  # 2·snap_tol·R = snap / den exactly
+    check_bins(R, snap_tol)
+    num, den = float(snap_tol).as_integer_ratio()  # snap_tol·R = num·R / den exactly
     D = np.arange(max_D + 1)[:, None]
-    k = np.arange(1, R)
-    top = 2 * k * D
-    if snap >= den:  # nearest boundary: a tie 2aR = (2k − 1)D goes up for even k only
-        top += k % 2 - D
-    elif snap * max_D >= den:  # some ⌊2·snap_tol·D·R⌋ is nonzero
-        top -= np.array([snap * d // den for d in range(max_D + 1)])[:, None]
-    return -(-top // (2 * R))
+    snapped = 0  # ⌊snap_tol·D·R⌋, zero for every D unless snap_tol·max_D·R ≥ 1
+    if num * R * max_D >= den:
+        snapped = np.array([num * R * d // den for d in range(max_D + 1)])[:, None]
+    return -((snapped - np.arange(1, R) * D) // R)
 
 
 def score_rows(counts: np.ndarray) -> tuple:

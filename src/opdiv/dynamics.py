@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LeaderOrderViolation, SolveFailure, UnstableStep
-from .graphs import Graph, LeaderConfig, laplacian_blocks
+from .errors import DenseTooLarge, LeaderOrderViolation, SolveFailure, UnstableStep
+from .graphs import DENSE_BYTES_LIMIT, Graph, LeaderConfig, laplacian_blocks
 from .resistance import reference_green, solve_bordered
 
 RESIDUAL_TOL = 1e-10  # per follower, scaled by n_f at the check
@@ -115,7 +115,8 @@ def simulate(
 
     x0 maps nodes to initial opinions in [0, 1]; leader entries are ignored and
     pinned to 0/1. Raises UnstableStep when the step exceeds the 2/λ_max Euler
-    stability bound.
+    stability bound, and DenseTooLarge when the recorded states would exceed
+    DENSE_BYTES_LIMIT.
     """
     blocks = laplacian_blocks(g, lc)
     followers = blocks.followers
@@ -130,13 +131,19 @@ def simulate(
     if horizon is None:
         # slowest mode decays like exp(-λ_min t); aim its residual below 1e-8
         horizon = 20.0 / float(eigenvalues[0])
+    nsteps = max(1, int(np.ceil(horizon / step)))
+    need = 8 * (nsteps + 1) * len(followers)
+    if need > DENSE_BYTES_LIMIT:
+        raise DenseTooLarge(
+            f"{nsteps + 1:,} states of {len(followers)} followers need {need:,} bytes, "
+            f"over the limit of {DENSE_BYTES_LIMIT:,} bytes"
+        )
 
     x = np.array([float(x0[v]) for v in followers])
     if np.any(x < 0) or np.any(x > 1):
         raise ValueError("initial opinions must lie in [0, 1]")
     rhs_leaders = blocks.Lfl @ _leader_states(lc, blocks.leader_order)
 
-    nsteps = max(1, int(np.ceil(horizon / step)))
     times = np.empty(nsteps + 1)
     states = np.empty((nsteps + 1, len(followers)))
     times[0] = 0.0

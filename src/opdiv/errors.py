@@ -73,6 +73,10 @@ class UnsupportedBinCount(OpdivError):
     pass
 
 
+class SnapToleranceOutOfRange(OpdivError):
+    """snap_tol outside [0, 1/(2R)), where the bin rule is defined."""
+
+
 # placement
 class NotAYTree(OpdivError):
     pass

@@ -370,22 +370,18 @@ class RootedTree:
                 pi[v] = pi[self.parent[v]]
         return tuple(pi)
 
-    def partition(self, target: int, pi: tuple = None) -> tuple:
-        """(P1, P2, P3) for leaders at the root and `target`.
+    def partition(self, target: int) -> tuple:
+        """(P1, P2, P3) for leaders at the root and `target`, read off preorder runs.
 
-        A follower's path to the target passes through the root exactly when
-        π(v) is the root, and symmetrically for P3; P2 meets the spine
-        between them. `pi` is projection(target) when the caller has it.
+        With p₁ the child of the root on the spine, P3 is the target's subtree
+        less the target, P2 is p₁'s subtree less the target's, and P1 is every
+        other node but the root. For target = root, P1 is all but the root.
         """
-        if pi is None:
-            pi = self.projection(target)
-        p1, p2, p3 = set(), set(), set()
-        for v in self.order:
-            if v == self.root or v == target:
-                continue
-            t = pi[v]
-            (p1 if t == self.root else p3 if t == target else p2).add(v)
-        return p1, p2, p3
+        spine = self.path_up(target)
+        if len(spine) == 1:
+            return set(self.order[1:]), set(), set()
+        below_p1, below_target = set(self.subtree(spine[-2])), set(self.subtree(target))
+        return set(self.order[1:]) - below_p1, below_p1 - below_target, below_target - {target}
 
 
 def _check_node(n: int, v: int) -> None:

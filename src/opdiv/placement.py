@@ -13,12 +13,13 @@ from decimal import Decimal, ROUND_HALF_UP
 
 import numpy as np
 
-from .diversity import DiversityScore, SNAP_TOL, histogram_rows, level_thresholds, score_rows
+from .diversity import (
+    DiversityScore, SNAP_TOL, check_bins, histogram_rows, level_thresholds, score_rows,
+)
 from .errors import (
     InvalidLeaderConfig,
     LeaderNotLeaf,
     NotAYTree,
-    OpinionOutOfRange,
     TooFewFollowers,
 )
 from .graphs import Graph, check_dense_size, cycle_order, rooted_tree
@@ -75,7 +76,8 @@ def brute_force_best(g: Graph, l0: int, R: int, snap_tol: float = SNAP_TOL) -> P
     Each candidate's bin counts come from one of three engines, chosen by the
     graph's shape: `tree_counts` on trees and `cycle_counts` on cycles count
     the exact opinions a/D in integers; `dense_counts` serves every other
-    graph from one grounded inverse. The n×n size guard applies to all three.
+    graph from one grounded inverse. R and snap_tol are checked before
+    anything else is built, and the n×n size guard applies to all three.
     Simpson's argmax compares the integer numerators Σ c(c − 1) exactly;
     Shannon's keeps every candidate within TIE_TOL of the best.
     """
@@ -83,6 +85,7 @@ def brute_force_best(g: Graph, l0: int, R: int, snap_tol: float = SNAP_TOL) -> P
         raise TooFewFollowers(f"n={g.n} leaves fewer than 2 followers after placing l1")
     if not 1 <= l0 <= g.n:
         raise InvalidLeaderConfig(f"leader {l0} outside 1..{g.n}")
+    check_bins(R, snap_tol)
     check_dense_size(g.n)
     F = np.flatnonzero(np.arange(g.n) != l0 - 1)
     engine = tree_counts if g.is_tree() else cycle_counts if g.is_cycle() else dense_counts
@@ -110,10 +113,10 @@ def dense_counts(g: Graph, l0: int, F: np.ndarray, R: int, snap_tol: float) -> n
     costs one O(n³) factorisation.
     """
     G = grounded_laplacian_inverse(g, F)
-    m = len(G)
-    # row j: the opinions with the 1-leader at candidate j, minus its own entry
-    X = (G / np.diag(G)).T[~np.eye(m, dtype=bool)].reshape(m, m - 1)
-    return histogram_rows(X, R, snap_tol)
+    # row j also holds candidate j's own opinion G[j, j] / G[j, j] = 1.0, always in the top bin
+    counts = histogram_rows((G / np.diag(G)).T, R, snap_tol)
+    counts[:, -1] -= 1
+    return counts
 
 
 def tree_counts(g: Graph, l0: int, F: np.ndarray, R: int, snap_tol: float) -> np.ndarray:
@@ -126,8 +129,6 @@ def tree_counts(g: Graph, l0: int, F: np.ndarray, R: int, snap_tol: float) -> np
     `level_thresholds` gives. The ancestors of all candidates come from one
     `searchsorted` over the nodes keyed by (depth, preorder index).
     """
-    if not snap_tol >= 0:  # l1 next to l0 puts every follower at 0 or 1
-        raise OpinionOutOfRange(f"tree opinions 0 and 1 lie outside [{-snap_tol}, {1 + snap_tol}]")
     tree = rooted_tree(g, l0)
     n, order = g.n, np.array(tree.order)
     depth, index, size = (np.array(a) for a in (tree.depth, tree.index, tree.size))
@@ -148,9 +149,6 @@ def cycle_counts(g: Graph, l0: int, F: np.ndarray, R: int, snap_tol: float) -> n
     so L − t of them have an opinion ≥ t/L for 1 ≤ t ≤ L. With l1 at p edges
     from l0 the arcs have p and n − p edges.
     """
-    # the extreme opinions are 1/(n − 1) and its mirror, on the arc next to l0
-    if not -snap_tol <= 1 / (g.n - 1):
-        raise OpinionOutOfRange(f"opinion {1 / (g.n - 1)} outside [{-snap_tol}, {1 + snap_tol}]")
     position = np.empty(g.n + 1, dtype=np.intp)
     position[cycle_order(g, l0)] = np.arange(g.n)
     p = position[F + 1]

@@ -190,6 +190,16 @@ class TestDump:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("command", [
+        ["place", "--gen", "path:6", "--l0", "1"],
+        ["dump", "--gen", "path:6", "--l0", "1", "--l1", "6"],
+    ], ids=["place", "dump"])
+    @pytest.mark.parametrize("snap", ["-1e-12", "0.25", "nan", "inf"])
+    def test_snap_tol_outside_its_domain(self, capsys, command, snap):
+        code, out, err = run(capsys, *command, "--R", "2", f"--snap-tol={snap}")
+        assert code == 1 and out == ""
+        assert "outside [0, 1/(2R)) = [0, 0.25) for R = 2" in err
+
     def test_unknown_suite(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "nonsense"])

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from opdiv import (
     OpinionVector,
@@ -65,10 +65,14 @@ class TestBinning:
 
     @given(st.data())
     def test_histogram_rows_match_bin_index(self, data):
-        # boundary values and arbitrary ones, with tolerances wide enough to
-        # snap outside [0, 1]
+        # boundary values and arbitrary ones, with tolerances up to the edge of
+        # the domain [0, 1/(2R)), so values snap from outside [0, 1] too
         R = data.draw(st.integers(min_value=2, max_value=40))
-        snap_tol = data.draw(st.sampled_from([SNAP_TOL, 1e-6, 0.07]))
+        snap_tol = data.draw(st.one_of(
+            st.sampled_from([0.0, SNAP_TOL, 1e-6]),
+            st.floats(min_value=0, max_value=1 / (2 * R), exclude_max=True),
+        ))
+        assume(2 * R * snap_tol < 1)
         boundary = st.integers(min_value=0, max_value=R).map(lambda k: k / R)
         anywhere = st.floats(min_value=-snap_tol, max_value=1 + snap_tol)
         values = data.draw(st.lists(st.one_of(boundary, anywhere), min_size=1, max_size=30))

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from opdiv import (
     steady_state,
     y_tree,
 )
-from opdiv.errors import LeaderOrderViolation, UnstableStep
+from opdiv.errors import DenseTooLarge, LeaderOrderViolation, UnstableStep
+from opdiv.graphs import DENSE_BYTES_LIMIT
 from opdiv.verify import random_tree
 
 
@@ -113,6 +115,18 @@ class TestSimulate:
         g = y_tree(2, 2, 2)
         with pytest.raises(UnstableStep):
             simulate(g, single_pair(1, 7), {v: 0.5 for v in range(1, 8)}, step=3.0)
+
+    def test_oversized_trajectory_rejected_before_allocating(self):
+        # the default horizon on path(1000) with the leaders side by side is
+        # 32,325,592 steps of 998 followers: 258 GB of states
+        tracemalloc.start()
+        try:
+            with pytest.raises(DenseTooLarge, match=f"limit of {DENSE_BYTES_LIMIT:,} bytes"):
+                simulate(path(1000), single_pair(1, 2), {v: 0.0 for v in range(1, 1001)})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < DENSE_BYTES_LIMIT // 8
 
     def test_fixed_suite_convergence(self):
         cases = [

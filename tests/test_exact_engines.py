@@ -6,6 +6,7 @@ On trees and cycles every follower opinion is an exact ratio a/D, so
 no opinion lies within rounding of snap_tol from a boundary, the two must give
 the same (m, R) count arrays, so every score is bit-identical.
 """
+import math
 import random
 from fractions import Fraction
 
@@ -13,10 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from opdiv import brute_force_best, build_graph, cycle, path, y_tree
+from opdiv import OpinionVector, bin_opinions, brute_force_best, build_graph, cycle, path, y_tree
 from opdiv import cli, placement
-from opdiv.diversity import SNAP_TOL, bin_index, level_thresholds
-from opdiv.errors import DenseTooLarge, OpinionOutOfRange
+from opdiv.diversity import SNAP_TOL, bin_index, histogram_rows, level_thresholds
+from opdiv.errors import DenseTooLarge, SnapToleranceOutOfRange, UnsupportedBinCount
 from opdiv.graphs import DENSE_BYTES_LIMIT
 from opdiv.placement import cycle_counts, dense_counts, tree_counts
 from opdiv.verify import random_tree
@@ -108,36 +109,40 @@ class TestExactOpinionsAtZeroSnap:
             assert got.argmax_simpson == arg_s and got.argmax_shannon == arg_h
 
 
-def ambiguous(a, D, R, snap_tol):
-    """True when a/D sits within float rounding of a snap edge or of a half-boundary.
+def near_snap_edge(a, D, R, snap_tol):
+    """True when a/D + snap_tol sits within float rounding of a boundary k/R.
 
     There `bin_index`, which sees a/D as a float, may decide either way.
     """
-    q, s = Fraction(a, D), Fraction(snap_tol)
-    margin = Fraction(1, 10**12)
-    return any(
-        abs(abs(q - Fraction(k, R)) - s) < margin or abs(q - Fraction(2 * k - 1, 2 * R)) < margin
-        for k in range(R + 1)
-    )
+    q = Fraction(a, D) + Fraction(snap_tol)
+    return any(abs(q - Fraction(k, R)) < Fraction(1, 10**12) for k in range(R + 1))
+
+
+def snap_tols(R, a, D):
+    """snap_tol anywhere in [0, 1/(2R)), or the float nearest a snap edge of a/D."""
+    return st.one_of(
+        st.sampled_from([0.0, SNAP_TOL, 1e-6]),
+        st.floats(0, 1 / (2 * R), exclude_max=True),
+        st.integers(0, R).map(lambda k: float(Fraction(k, R) - Fraction(a, D))),
+    ).filter(lambda s: 0 <= 2 * R * s < 1)
 
 
 class TestLevelThresholds:
-    @given(
-        D=st.integers(1, 200),
-        R=st.integers(2, 40),
-        data=st.data(),
-        snap_tol=st.one_of(
-            st.sampled_from([0.0, SNAP_TOL, 1e-6, 0.5, 1.0, float("inf")]),
-            st.floats(-0.05, 0.6, allow_nan=False),
-        ),
-    )
-    def test_match_bin_index(self, D, R, data, snap_tol):
+    @given(D=st.integers(1, 200), R=st.integers(2, 40), data=st.data())
+    def test_match_bin_index(self, D, R, data):
         a = data.draw(st.integers(0, D))
-        assume(not ambiguous(a, D, R, min(snap_tol, 1.0)))
-        try:
-            want = bin_index(a / D, R, snap_tol) - 1
-        except OpinionOutOfRange:
-            assume(False)
+        snap_tol = data.draw(snap_tols(R, a, D))
+        assume(not near_snap_edge(a, D, R, snap_tol))
+        t = level_thresholds(D, R, snap_tol)[D]
+        assert int((a >= t).sum()) == bin_index(a / D, R, snap_tol) - 1
+
+    @given(D=st.integers(1, 200), R=st.integers(2, 40), data=st.data())
+    def test_match_exact_rule(self, D, R, data):
+        # the bin rule min(⌊(a/D + snap_tol)·R⌋, R − 1) in exact arithmetic,
+        # including the float snap_tol nearest each edge, on either side of it
+        a = data.draw(st.integers(0, D))
+        snap_tol = data.draw(snap_tols(R, a, D))
+        want = min(math.floor((Fraction(a, D) + Fraction(snap_tol)) * R), R - 1)
         t = level_thresholds(D, R, snap_tol)[D]
         assert int((a >= t).sum()) == want
 
@@ -148,16 +153,17 @@ class TestLevelThresholds:
         assert (t[1:] >= 1).all() and (t[1:] <= np.arange(1, 10)[:, None]).all()
 
 
+@pytest.fixture
+def no_inverse(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("unexpected dense inverse")
+
+    monkeypatch.setattr("opdiv.placement.grounded_laplacian_inverse", refuse)
+    monkeypatch.setattr("opdiv.resistance.grounded_laplacian_inverse", refuse)
+
+
 class TestEngineChoice:
     GRAPHS = [path(12), cycle(12), y_tree(2, 3, 4), random_tree(30, random.Random(4))]
-
-    @pytest.fixture
-    def no_inverse(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("dense inverse on a tree or a cycle")
-
-        monkeypatch.setattr("opdiv.placement.grounded_laplacian_inverse", refuse)
-        monkeypatch.setattr("opdiv.resistance.grounded_laplacian_inverse", refuse)
 
     @pytest.mark.parametrize("g", GRAPHS, ids=["path", "cycle", "ytree", "tree"])
     def test_trees_and_cycles_make_no_inverse(self, no_inverse, g):
@@ -201,18 +207,38 @@ class TestEngineChoice:
             brute_force_best(g, 1, 2)
 
 
-class TestNegativeSnapTolerance:
-    def test_trees_always_out_of_range(self):
-        for g in (path(6), y_tree(1, 1, 1), random_tree(20, random.Random(3))):
-            with pytest.raises(OpinionOutOfRange):
-                brute_force_best(g, 2, 2, snap_tol=-1e-12)
+class TestSnapToleranceDomain:
+    CHORDED = build_graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1), (1, 4)])
 
-    def test_cycles_out_of_range_past_the_extreme_opinion(self):
-        # the extreme opinions are 1/(n − 1) and (n − 2)/(n − 1), on the arc next to l0
-        g = cycle(11)
-        with pytest.raises(OpinionOutOfRange):
-            brute_force_best(g, 1, 3, snap_tol=-0.11)
-        with pytest.raises(OpinionOutOfRange):
-            dense_counts(g, 1, followers_of(g, 1), 3, -0.11)
-        got = brute_force_best(g, 1, 3, snap_tol=-0.09)
-        assert got.scores == brute_force_best(g, 1, 3, snap_tol=0.0).scores
+    @pytest.mark.parametrize("snap_tol", [-1e-12, 1 / 8, math.nan, math.inf],
+                             ids=["-1e-12", "1/(2R)", "nan", "inf"])
+    def test_every_entry_point_rejects(self, no_inverse, snap_tol):
+        R = 4
+        calls = [
+            lambda: bin_index(0.5, R, snap_tol),
+            lambda: histogram_rows(np.array([[0.5, 0.25]]), R, snap_tol),
+            lambda: level_thresholds(5, R, snap_tol),
+            lambda: bin_opinions(OpinionVector({1: 0.5, 2: 0.25}), R, snap_tol),
+        ]
+        calls += [lambda g=g: brute_force_best(g, 1, R, snap_tol)
+                  for g in (random_tree(12, random.Random(5)), cycle(9), self.CHORDED)]
+        for call in calls:
+            with pytest.raises(SnapToleranceOutOfRange, match=r"outside \[0, 1/\(2R\)\)"):
+                call()
+
+    def test_bad_bin_count_fails_before_the_inverse(self, no_inverse):
+        with pytest.raises(UnsupportedBinCount):
+            brute_force_best(self.CHORDED, 1, 1)
+
+    def test_nearest_boundary_snap_is_rejected(self):
+        # from snap_tol = 1/(2R) on, every opinion once snapped to its nearest boundary
+        with pytest.raises(SnapToleranceOutOfRange):
+            brute_force_best(path(6), 1, 2, snap_tol=0.3)
+
+    def test_largest_tolerance_is_accepted(self):
+        below = math.nextafter(1 / 8, 0)  # the largest float in [0, 1/(2R)) at R = 4
+        assert bin_index(0.5, 4, below) == 3
+        # 1/8 + below falls short of the boundary 1/4 in exact arithmetic
+        assert level_thresholds(8, 4, below)[8].tolist() == [2, 4, 6]
+        for g in (path(9), cycle(9), self.CHORDED):
+            assert len(brute_force_best(g, 1, 4, snap_tol=below).scores) == g.n - 1

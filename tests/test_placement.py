@@ -27,7 +27,7 @@ from opdiv.errors import (
     LeaderNotLeaf,
     NotATree,
     NotAYTree,
-    OpinionOutOfRange,
+    SnapToleranceOutOfRange,
     SolveFailure,
     TooFewFollowers,
     UnsupportedBinCount,
@@ -96,7 +96,7 @@ class TestKernelAgainstPerCandidateSolve:
         (path(3), 1, 2, SNAP_TOL, TooFewFollowers),
         (path(6), 1, 1, SNAP_TOL, UnsupportedBinCount),
         (cycle(6), 2, 0, SNAP_TOL, UnsupportedBinCount),
-        (path(6), 1, 4, -0.1, OpinionOutOfRange),
+        (path(6), 1, 4, -0.1, SnapToleranceOutOfRange),
         (path(6), 0, 4, SNAP_TOL, InvalidLeaderConfig),
         (cycle(5), 6, 2, SNAP_TOL, InvalidLeaderConfig),
     ])

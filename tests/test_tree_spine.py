@@ -3,8 +3,8 @@
 The oracles below are the earlier implementations: a BFS `tree_path` per
 follower for the P1/P2/P3 split, and a steady-state solve binned with the
 snap tolerance for the balanced-placement check. The package now reads both
-from one depth-first pass from l0: the split from the projection π onto the
-l0–l1 spine, the balanced check from subtree sizes along it.
+from one depth-first pass from l0: the split from the preorder runs of the
+subtrees along the l0–l1 spine, the balanced check from their sizes.
 """
 import itertools
 import random
@@ -122,7 +122,13 @@ class TestRootedTree:
         with pytest.raises(EndpointOutOfRange):
             rooted_tree(fig3, 1).projection(0)
         with pytest.raises(EndpointOutOfRange):
+            rooted_tree(fig3, 1).partition(12)
+        with pytest.raises(EndpointOutOfRange):
             tree_path(fig3, 1, -1)
+
+    def test_partition_at_the_root(self, fig3):
+        # both leaders at the root: every other node is in P1
+        assert rooted_tree(fig3, 2).partition(2) == (set(range(1, 12)) - {2}, set(), set())
 
 
 class TestAgainstOracles:
