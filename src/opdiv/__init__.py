@@ -42,7 +42,6 @@ from .resistance import (
     GroundedInverse,
     grounded_inverse,
     leader_set_resistance,
-    pairwise_resistance,
 )
 
 __all__ = [
@@ -79,7 +78,6 @@ __all__ = [
     "predict_y_tree",
     "check_balanced_tree_placement",
     "grounded_inverse",
-    "pairwise_resistance",
     "leader_set_resistance",
 ]
 

@@ -8,14 +8,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import ROUND_HALF_UP, Decimal
+
+import numpy as np
 
 from . import graphs, verify
-from .diversity import SNAP_TOL, bin_opinions, max_diversity
+from .diversity import SNAP_TOL, BinHistogram, bin_opinions, max_diversity
 from .dynamics import steady_state
 from .errors import OpdivError
 from .placement import (
-    _round3,
     brute_force_best,
+    exact_engine,
     predict_cycle,
     predict_path,
     predict_y_tree,
@@ -107,9 +110,17 @@ def cmd_place(args) -> int:
         agrees = pred <= result.argmax_simpson and pred <= result.argmax_shannon
 
     if args.format == "json":
-        payload = result.to_dict()
-        payload["l0"] = args.l0
-        payload["max_diversity"] = bounds
+        payload = {
+            "R": result.R,
+            "scores": {
+                str(v): {"simpson": s.simpson, "shannon": s.shannon}
+                for v, s in sorted(result.scores.items())
+            },
+            "argmax_simpson": sorted(result.argmax_simpson),
+            "argmax_shannon": sorted(result.argmax_shannon),
+            "l0": args.l0,
+            "max_diversity": bounds,
+        }
         if prediction:
             payload["prediction"] = {"topology": kind, "nodes": sorted(pred), "agrees": agrees}
         out = json.dumps(payload, indent=2) + "\n"
@@ -120,7 +131,7 @@ def cmd_place(args) -> int:
         )
         out = "\n".join(lines) + "\n"
     else:
-        parts = [result.to_table()]
+        parts = [_table(result)]
         parts.append(f"argmax simpson: {sorted(result.argmax_simpson)}\n")
         parts.append(f"argmax shannon: {sorted(result.argmax_shannon)}\n")
         for measure, bound in bounds.items():
@@ -134,6 +145,22 @@ def cmd_place(args) -> int:
         out = "".join(parts)
     _emit(out, args.out)
     return 0
+
+
+def _table(result) -> str:
+    """Aligned text table of a `PlacementResult`, one candidate per row, 3 decimals, half-up."""
+    rows = [("l1", "simpson", "shannon")]
+    rows.extend(
+        (str(v), _round3(s.simpson), _round3(s.shannon)) for v, s in sorted(result.scores.items())
+    )
+    widths = [max(len(r[i]) for r in rows) for i in range(3)]
+    return "\n".join(
+        "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows
+    ) + "\n"
+
+
+def _round3(x: float) -> str:
+    return str(Decimal(repr(x)).quantize(Decimal("0.001"), rounding=ROUND_HALF_UP))
 
 
 def cmd_verify(args) -> int:
@@ -163,9 +190,23 @@ def cmd_dump(args) -> int:
     lc.validate(g)
     R = _resolve_r(args.R, g.n)
     x = steady_state(g, lc)
-    h = bin_opinions(x, R, snap_tol=args.snap_tol)
-    _emit(x.to_csv() + h.to_json() + "\n", args.out)
+    engine = exact_engine(g)
+    if engine is None:
+        h = bin_opinions(x, R, snap_tol=args.snap_tol)
+    else:  # the exact count row that `place` scores, rather than the binned floats
+        row = engine(g, args.l0, np.array([args.l1 - 1]), R, args.snap_tol)[0]
+        h = BinHistogram(R=R, counts=tuple(row.tolist()))
+    _emit(_opinions_csv(x) + _histogram_json(h) + "\n", args.out)
     return 0
+
+
+def _opinions_csv(x) -> str:
+    """An `OpinionVector` as `node,opinion` rows by ascending node, 12 significant digits."""
+    return "node,opinion\n" + "".join(f"{v},{o:.12g}\n" for v, o in sorted(x.values.items()))
+
+
+def _histogram_json(h: BinHistogram) -> str:
+    return json.dumps({"R": h.R, "n_f": h.n_f, "counts": list(h.counts)})
 
 
 def _emit(text: str, out) -> None:

@@ -31,11 +31,6 @@ class BinHistogram:
     def n_f(self) -> int:
         return sum(self.counts)
 
-    def to_json(self) -> str:
-        import json  # on first use, so that `import opdiv` does not load json
-
-        return json.dumps({"R": self.R, "n_f": self.n_f, "counts": list(self.counts)})
-
 
 @dataclass(frozen=True)
 class DiversityScore:

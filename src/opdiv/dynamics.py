@@ -24,20 +24,6 @@ class OpinionVector:
 
     values: dict  # follower node -> opinion in [0, 1]
 
-    @property
-    def followers(self) -> tuple:
-        return tuple(sorted(self.values))
-
-    def as_array(self) -> np.ndarray:
-        """Opinions in ascending follower-label order."""
-        return np.array([self.values[v] for v in self.followers])
-
-    def to_csv(self) -> str:
-        """Serialize as `node,opinion` rows with 12 significant digits."""
-        lines = ["node,opinion"]
-        lines.extend(f"{v},{self.values[v]:.12g}" for v in self.followers)
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class Trajectory:

@@ -9,7 +9,6 @@ brute force in tests rather than trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, ROUND_HALF_UP
 
 import numpy as np
 
@@ -37,38 +36,6 @@ class PlacementResult:
     argmax_shannon: frozenset
     R: int
 
-    def to_dict(self) -> dict:
-        """The JSON payload as plain data: R, the score table and both argmax sets."""
-        return {
-            "R": self.R,
-            "scores": {
-                str(v): {"simpson": s.simpson, "shannon": s.shannon}
-                for v, s in sorted(self.scores.items())
-            },
-            "argmax_simpson": sorted(self.argmax_simpson),
-            "argmax_shannon": sorted(self.argmax_shannon),
-        }
-
-    def to_json(self) -> str:
-        import json  # on first use, so that `import opdiv` does not load json
-
-        return json.dumps(self.to_dict(), indent=2)
-
-    def to_table(self) -> str:
-        """Aligned text table, one candidate per row, 3 decimals, half-up."""
-        rows = [("l1", "simpson", "shannon")]
-        for v in sorted(self.scores):
-            s = self.scores[v]
-            rows.append((str(v), _round3(s.simpson), _round3(s.shannon)))
-        widths = [max(len(r[i]) for r in rows) for i in range(3)]
-        return "\n".join(
-            "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows
-        ) + "\n"
-
-
-def _round3(x: float) -> str:
-    return str(Decimal(repr(x)).quantize(Decimal("0.001"), rounding=ROUND_HALF_UP))
-
 
 def brute_force_best(g: Graph, l0: int, R: int, snap_tol: float = SNAP_TOL) -> PlacementResult:
     """Evaluate every candidate l1 ≠ l0 and return the full score table.
@@ -88,8 +55,7 @@ def brute_force_best(g: Graph, l0: int, R: int, snap_tol: float = SNAP_TOL) -> P
     check_bins(R, snap_tol)
     check_dense_size(g.n)
     F = np.flatnonzero(np.arange(g.n) != l0 - 1)
-    engine = tree_counts if g.is_tree() else cycle_counts if g.is_cycle() else dense_counts
-    counts = engine(g, l0, F, R, snap_tol)
+    counts = (exact_engine(g) or dense_counts)(g, l0, F, R, snap_tol)
     pairs = (counts * (counts - 1)).sum(axis=1)
     simpson, shannon = score_rows(counts)
     candidates = F + 1
@@ -102,6 +68,15 @@ def brute_force_best(g: Graph, l0: int, R: int, snap_tol: float = SNAP_TOL) -> P
         argmax_shannon=frozenset(candidates[shannon >= shannon.max() - TIE_TOL].tolist()),
         R=R,
     )
+
+
+def exact_engine(g: Graph):
+    """`tree_counts` on a tree, `cycle_counts` on a cycle, None on any other graph.
+
+    Both engines take a single candidate too: `engine(g, l0, np.array([l1 − 1]),
+    R, snap_tol)[0]` is the exact bin count row of the pair (l0, l1).
+    """
+    return tree_counts if g.is_tree() else cycle_counts if g.is_cycle() else None
 
 
 def dense_counts(g: Graph, l0: int, F: np.ndarray, R: int, snap_tol: float) -> np.ndarray:

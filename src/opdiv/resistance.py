@@ -29,14 +29,6 @@ class GroundedInverse:
     inv: np.ndarray
     follower_index: dict  # follower node -> row
 
-    def _row(self, u: int) -> int:
-        if u not in self.follower_index:
-            raise NotAFollower(f"node {u} is not a follower")
-        return self.follower_index[u]
-
-    def entry(self, u: int, v: int) -> float:
-        return float(self.inv[self._row(u), self._row(v)])
-
 
 def reference_green(g: Graph) -> np.ndarray:
     """G̃: the inverse of L grounded at node 1, padded with a zero row and column there.
@@ -120,11 +112,9 @@ def _check_identity(product: np.ndarray) -> None:
         raise SolveFailure(f"inverse check failed: max entry error {err:.3e}")
 
 
-def pairwise_resistance(gi: GroundedInverse, u: int, v: int) -> float:
-    """Grounded effective resistance between followers u and v; zero iff u = v."""
-    return gi.entry(u, u) + gi.entry(v, v) - 2.0 * gi.entry(u, v)
-
-
 def leader_set_resistance(gi: GroundedInverse, u: int) -> float:
-    """Resistance between follower u and the (merged) leader set."""
-    return gi.entry(u, u)
+    """Resistance between follower u and the (merged) leader set, Lff⁻¹(u, u)."""
+    if u not in gi.follower_index:
+        raise NotAFollower(f"node {u} is not a follower")
+    i = gi.follower_index[u]
+    return float(gi.inv[i, i])

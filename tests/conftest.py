@@ -1,6 +1,6 @@
 import pytest
 
-from opdiv import build_graph
+from opdiv import build_graph, leader_set_resistance
 
 # 11-node tree used throughout: a 6-node spine 1..6 with a hub at node 7
 # hanging off node 2 and a pendant path 10-11.
@@ -26,3 +26,13 @@ def fig3():
 @pytest.fixture
 def partition_tree():
     return build_graph(12, PARTITION_EDGES)
+
+
+def pairwise_resistance(gi, u, v):
+    """Grounded effective resistance between followers u and v, the scalar oracle.
+
+    r(u, v) = Lff⁻¹(u, u) + Lff⁻¹(v, v) − 2·Lff⁻¹(u, v), read off a
+    `GroundedInverse`; zero iff u = v, and NotAFollower when u or v is a leader.
+    """
+    ru, rv = leader_set_resistance(gi, u), leader_set_resistance(gi, v)
+    return ru + rv - 2.0 * float(gi.inv[gi.follower_index[u], gi.follower_index[v]])

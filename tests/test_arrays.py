@@ -3,8 +3,8 @@
 `LeaderConfig.split` is the only place that orders followers, so every
 follower-keyed output must list F + 1 in row order. `verify_appendix` reads
 its resistances off one matrix per tree; the oracle below is the earlier
-scalar version, built from `pairwise_resistance`, `leader_set_resistance` and
-`laplacian_blocks`, and with `NUM_TOL` patched to −1 every comparison emits
+scalar version, built from the `pairwise_resistance` oracle in conftest,
+`leader_set_resistance` and `laplacian_blocks`, and with `NUM_TOL` patched to −1 every comparison emits
 its message, so equal message lists mean equal values at every check.
 """
 import random
@@ -19,7 +19,6 @@ from opdiv import (
     grounded_inverse,
     laplacian_blocks,
     leader_set_resistance,
-    pairwise_resistance,
     path,
     simulate,
     single_pair,
@@ -30,6 +29,7 @@ from opdiv.errors import SolveFailure
 from opdiv.resistance import grounded_laplacian_inverse
 from opdiv.verify import random_tree
 
+from conftest import pairwise_resistance
 from test_green import with_extra_edges
 
 
@@ -71,7 +71,7 @@ def merged_components(g, leaders, removed):
 
 
 def scalar_verify_appendix(max_n, n_trees, seed=verify.DEFAULT_SEED):
-    """`verify_appendix` as it was: one scalar `entry` lookup per resistance."""
+    """`verify_appendix` as it was: one scalar lookup per resistance."""
     rng = random.Random(seed)
     bad = []
     trees = 0

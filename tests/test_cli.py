@@ -1,9 +1,13 @@
 import json
+import random
 
+import numpy as np
 import pytest
 
-from opdiv import brute_force_best, cli, graphs, verify
+from opdiv import brute_force_best, cli, graphs, verify, write_edge_list
 from opdiv.cli import main
+from opdiv.placement import exact_engine
+from opdiv.verify import random_tree
 
 from conftest import FIG3_EDGES
 
@@ -22,12 +26,20 @@ def run(capsys, *argv):
 
 
 def round_trip_place_json(g, l0, R_spec):
-    """`place --format json` as built through to_json, json.loads and json.dumps."""
+    """`place --format json` rebuilt here from the score table and both argmax sets."""
     R = cli._resolve_r(R_spec, g.n)
     result = brute_force_best(g, l0, R)
-    payload = json.loads(result.to_json())
-    payload["l0"] = l0
-    payload["max_diversity"] = cli._bounds(g.n - 2, R)
+    payload = {
+        "R": R,
+        "scores": {
+            str(v): {"simpson": s.simpson, "shannon": s.shannon}
+            for v, s in sorted(result.scores.items())
+        },
+        "argmax_simpson": sorted(result.argmax_simpson),
+        "argmax_shannon": sorted(result.argmax_shannon),
+        "l0": l0,
+        "max_diversity": cli._bounds(g.n - 2, R),
+    }
     prediction = cli._prediction(g, l0, R)
     if prediction:
         kind, pred = prediction
@@ -180,6 +192,29 @@ class TestDump:
         assert code == 0
         for line in out.splitlines()[1:-1]:
             assert line.endswith(",1")
+
+    @pytest.mark.parametrize("snap", ["0", "1e-09"])
+    def test_histogram_is_the_place_count_row_on_trees_and_cycles(self, capsys, tmp_path, snap):
+        tree = random_tree(24, random.Random(5))
+        (tmp_path / "tree").write_text(write_edge_list(tree))
+        sources = [(graphs.generate(s), ["--gen", s]) for s in ("path:17", "cycle:23", "ytree:3,5,2")]
+        sources.append((tree, ["--graph", str(tmp_path / "tree")]))
+        parser = cli.build_parser()  # built once: argparse setup would dominate the run time
+        for g, source in sources:
+            n_f = g.n - 2
+            for l0 in (1, 5):
+                F = np.flatnonzero(np.arange(g.n) != l0 - 1)
+                for R in (2, 5, n_f):
+                    table = exact_engine(g)(g, l0, F, R, float(snap))
+                    result = brute_force_best(g, l0, R, snap_tol=float(snap))
+                    for l1, row in zip((F + 1).tolist(), table.tolist()):
+                        args = parser.parse_args(["dump", *source, "--l0", str(l0), "--l1", str(l1),
+                                                  "--R", str(R), "--snap-tol", snap])
+                        assert args.func(args) == 0
+                        counts = json.loads(capsys.readouterr().out.splitlines()[-1])["counts"]
+                        assert counts == row
+                        simpson = 1.0 - sum(c * (c - 1) for c in counts) / (n_f * (n_f - 1))
+                        assert simpson == result.scores[l1].simpson
 
     def test_missing_file(self, capsys, tmp_path):
         code, out, err = run(capsys, "dump", "--graph", str(tmp_path / "nope.edges"),

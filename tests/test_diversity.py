@@ -9,6 +9,7 @@ from hypothesis import assume, given, strategies as st
 from opdiv import (
     OpinionVector,
     bin_opinions,
+    cli,
     max_diversity,
     path,
     path_closed_form,
@@ -193,4 +194,4 @@ class TestMaxDiversity:
 class TestSerialization:
     def test_histogram_json(self):
         h = histogram(0, 1, 1, 2)
-        assert h.to_json() == '{"R": 4, "n_f": 4, "counts": [0, 1, 1, 2]}'
+        assert cli._histogram_json(h) == '{"R": 4, "n_f": 4, "counts": [0, 1, 1, 2]}'

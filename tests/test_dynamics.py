@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from opdiv import (
+    cli,
     cycle,
     path,
     path_closed_form,
@@ -41,12 +42,12 @@ class TestSteadyState:
             g = rng.choice(gens)()
             l0, l1 = rng.sample(range(1, g.n + 1), 2)
             x = steady_state(g, single_pair(l0, l1))
-            arr = x.as_array()
+            arr = np.array(list(x.values.values()))
             assert np.all(arr >= -1e-12) and np.all(arr <= 1 + 1e-12)
 
     def test_csv_format(self):
         x = steady_state(path(5), single_pair(1, 5))
-        assert x.to_csv() == "node,opinion\n2,0.25\n3,0.5\n4,0.75\n"
+        assert cli._opinions_csv(x) == "node,opinion\n2,0.25\n3,0.5\n4,0.75\n"
 
 
 class TestPathClosedForm:

@@ -10,6 +10,7 @@ from opdiv import (
     brute_force_best,
     build_graph,
     check_balanced_tree_placement,
+    cli,
     cycle,
     max_diversity,
     path,
@@ -19,6 +20,7 @@ from opdiv import (
     shannon_index,
     single_pair,
     steady_state,
+    write_edge_list,
     y_tree,
 )
 from opdiv.diversity import BinHistogram, SNAP_TOL, score
@@ -190,8 +192,12 @@ class TestBruteForce:
         with pytest.raises(TooFewFollowers):
             brute_force_best(path(3), 1, 2)
 
-    def test_json_round_trip(self, fig3):
-        payload = json.loads(brute_force_best(fig3, 1, 9).to_json())
+    def test_json_round_trip(self, fig3, tmp_path, capsys):
+        source = tmp_path / "fig3.edges"
+        source.write_text(write_edge_list(fig3))
+        assert cli.main(["place", "--graph", str(source), "--l0", "1", "--R", "9",
+                         "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
         assert payload["argmax_simpson"] == [10, 11]
         assert payload["scores"]["5"]["shannon"] == pytest.approx(1.003, abs=5e-4)
 
@@ -316,7 +322,7 @@ class TestDiversityBounds:
 
 class TestTableRendering:
     def test_three_decimals_half_up(self, fig3):
-        table = brute_force_best(fig3, 1, 9).to_table()
+        table = cli._table(brute_force_best(fig3, 1, 9))
         assert "0.639" in table and "1.003" in table
         rows = table.strip().splitlines()
         assert len(rows) == 11  # header + 10 candidates

@@ -5,13 +5,14 @@ from opdiv import (
     build_graph,
     grounded_inverse,
     leader_set_resistance,
-    pairwise_resistance,
     path,
     single_pair,
     steady_state,
 )
 from opdiv.errors import NotAFollower
 from opdiv.verify import verify_appendix
+
+from conftest import pairwise_resistance
 
 
 class TestGroundedInverse:
@@ -71,6 +72,12 @@ class TestLeaderSetResistance:
         g = build_graph(4, [(1, 2), (2, 3), (2, 4)])
         gi = grounded_inverse(g, single_pair(1, 2))
         assert leader_set_resistance(gi, 3) == pytest.approx(1.0)
+
+    def test_not_a_follower(self):
+        gi = grounded_inverse(path(4), single_pair(1, 4))
+        for leader in (1, 4):
+            with pytest.raises(NotAFollower):
+                leader_set_resistance(gi, leader)
 
 
 class TestAppendixLemmas:
