@@ -16,14 +16,7 @@ from . import graphs, verify
 from .diversity import SNAP_TOL, BinHistogram, bin_opinions, max_diversity
 from .dynamics import steady_state
 from .errors import OpdivError
-from .placement import (
-    brute_force_best,
-    exact_engine,
-    predict_cycle,
-    predict_path,
-    predict_y_tree,
-    y_tree_structure,
-)
+from .placement import brute_force_best, exact_engine, prediction
 
 DEFAULT_BOUNDS = {"paths": 15, "cycles": 15, "ytrees": 5, "trees-R2": 12, "appendix": 12}
 # the smallest bound at which each suite checks at least one instance
@@ -56,41 +49,6 @@ def _resolve_r(spec: str, n: int) -> int:
     return r
 
 
-def _detect_topology(g: graphs.Graph):
-    """Classify as ('path'|'cycle'|'ytree', canonical node order) or None."""
-    if g.is_cycle():
-        return "cycle", None
-    if g.is_tree() and max(g.degree(v) for v in range(1, g.n + 1)) <= 2:
-        start = min(v for v in range(1, g.n + 1) if g.degree(v) == 1)
-        return "path", list(graphs.rooted_tree(g, start).order)
-    try:
-        y_tree_structure(g)
-        return "ytree", None
-    except OpdivError:
-        return None
-
-
-def _prediction(g: graphs.Graph, l0: int, R: int):
-    """Predictor output mapped to the graph's actual labels, or None."""
-    detected = _detect_topology(g)
-    if detected is None:
-        return None
-    kind, order = detected
-    r_spec = 2 if R == 2 else ("nf" if R == g.n - 2 else None)
-    if kind == "ytree":
-        if g.degree(l0) != 1 or r_spec != "nf":
-            return None
-        return kind, predict_y_tree(g, l0)
-    if r_spec is None:
-        return None
-    if kind == "cycle":
-        order = graphs.cycle_order(g, l0)
-        pred = predict_cycle(g.n, r_spec)
-    else:
-        pred = predict_path(g.n, order.index(l0) + 1, r_spec)
-    return kind, frozenset(order[i - 1] for i in pred)
-
-
 def _bounds(n_f: int, R: int) -> dict:
     if R not in (2, n_f):
         return {}
@@ -104,9 +62,9 @@ def cmd_place(args) -> int:
     R = _resolve_r(args.R, g.n)
     result = brute_force_best(g, args.l0, R, snap_tol=args.snap_tol)
     bounds = _bounds(g.n - 2, R)
-    prediction = _prediction(g, args.l0, R)
-    if prediction:
-        kind, pred = prediction
+    predicted = prediction(g, args.l0, R)
+    if predicted:
+        kind, pred = predicted
         agrees = pred <= result.argmax_simpson and pred <= result.argmax_shannon
 
     if args.format == "json":
@@ -121,7 +79,7 @@ def cmd_place(args) -> int:
             "l0": args.l0,
             "max_diversity": bounds,
         }
-        if prediction:
+        if predicted:
             payload["prediction"] = {"topology": kind, "nodes": sorted(pred), "agrees": agrees}
         out = json.dumps(payload, indent=2) + "\n"
     elif args.format == "csv":
@@ -139,7 +97,7 @@ def cmd_place(args) -> int:
             parts.append(
                 f"max {measure}: attained {_round3(attained)}, bound {_round3(bound)}\n"
             )
-        if prediction:
+        if predicted:
             parts.append(f"predicted optimal ({kind}): {sorted(pred)}\n")
             parts.append(f"prediction agrees with brute force: {'yes' if agrees else 'NO'}\n")
         out = "".join(parts)

@@ -133,9 +133,9 @@ def score(h: BinHistogram) -> DiversityScore:
 def max_diversity(n_f: int, R: int, measure: str) -> float:
     """Theoretical maximum of a diversity index, defined for R = n_f and R = 2.
 
-    R = n_f: uniform occupancy, one opinion per bin. R = 2: the floor/ceil
-    split of n_f across the two bins. Other R values have no closed form and
-    raise UnsupportedBinCount.
+    R = n_f: one opinion per bin, Simpson 1 and Shannon ln n_f. R = 2: the
+    index of the balanced histogram (⌊n_f/2⌋, ⌈n_f/2⌉). Other R values have
+    no closed form and raise UnsupportedBinCount.
     """
     if measure not in ("simpson", "shannon"):
         raise ValueError(f"unknown measure {measure!r}")
@@ -144,12 +144,6 @@ def max_diversity(n_f: int, R: int, measure: str) -> float:
     if R == n_f:
         return 1.0 if measure == "simpson" else math.log(n_f)
     if R == 2:
-        lo, hi = n_f // 2, n_f - n_f // 2
-        if measure == "simpson":
-            return 1.0 - (lo * (lo - 1) + hi * (hi - 1)) / (n_f * (n_f - 1))
-        out = 0.0
-        for c in (lo, hi):
-            if c > 0:
-                out -= (c / n_f) * math.log(c / n_f)
-        return out
+        h = BinHistogram(R=2, counts=(n_f // 2, n_f - n_f // 2))
+        return simpson_index(h) if measure == "simpson" else shannon_index(h)
     raise UnsupportedBinCount(f"no closed-form maximum for R={R} (need R=2 or R=n_f={n_f})")

@@ -90,6 +90,19 @@ def default_step(g: Graph) -> float:
     return 1.0 / (2.0 * max_deg)
 
 
+def _step_count(horizon: float, step: float, n_f: int) -> int:
+    """⌈horizon / step⌉, raising DenseTooLarge when recording that many states would
+    exceed DENSE_BYTES_LIMIT."""
+    nsteps = max(1, int(np.ceil(horizon / step)))
+    need = 8 * (nsteps + 1) * n_f
+    if need > DENSE_BYTES_LIMIT:
+        raise DenseTooLarge(
+            f"at least {nsteps + 1:,} states of {n_f} followers need {need:,} bytes, "
+            f"over the limit of {DENSE_BYTES_LIMIT:,} bytes"
+        )
+    return nsteps
+
+
 def simulate(
     g: Graph,
     lc: LeaderConfig,
@@ -106,10 +119,18 @@ def simulate(
     """
     blocks = laplacian_blocks(g, lc)
     followers = blocks.followers
+    n_f = len(followers)
     if step is None:
         step = default_step(g)
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
+    if step <= 2.0 * default_step(g):
+        # A step ≤ 1/max_deg is stable, as λ_max ≤ 2·max_deg (Gershgorin), so no
+        # UnstableStep is due: refuse an oversized run before the eigensolve.
+        # λ_min ≤ 1ᵀ·Lff·1 / n_f = e(F, S) / n_f, with e(F, S) the follower–leader
+        # edges, bounds the default horizon 20/λ_min from below.
+        least = 20.0 * n_f / -blocks.Lfl.sum() if horizon is None else horizon
+        _step_count(least, step, n_f)
     eigenvalues = np.linalg.eigvalsh(blocks.Lff)  # ascending
     bound = 2.0 / float(eigenvalues[-1])
     if step > bound:
@@ -117,13 +138,7 @@ def simulate(
     if horizon is None:
         # slowest mode decays like exp(-λ_min t); aim its residual below 1e-8
         horizon = 20.0 / float(eigenvalues[0])
-    nsteps = max(1, int(np.ceil(horizon / step)))
-    need = 8 * (nsteps + 1) * len(followers)
-    if need > DENSE_BYTES_LIMIT:
-        raise DenseTooLarge(
-            f"{nsteps + 1:,} states of {len(followers)} followers need {need:,} bytes, "
-            f"over the limit of {DENSE_BYTES_LIMIT:,} bytes"
-        )
+    nsteps = _step_count(horizon, step, n_f)
 
     x = np.array([float(x0[v]) for v in followers])
     if np.any(x < 0) or np.any(x > 1):
@@ -131,7 +146,7 @@ def simulate(
     rhs_leaders = blocks.Lfl @ _leader_states(lc, blocks.leader_order)
 
     times = np.empty(nsteps + 1)
-    states = np.empty((nsteps + 1, len(followers)))
+    states = np.empty((nsteps + 1, n_f))
     times[0] = 0.0
     states[0] = x
     for i in range(1, nsteps + 1):

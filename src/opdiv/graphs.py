@@ -25,7 +25,9 @@ from .errors import (
 )
 
 
-DENSE_BYTES_LIMIT = 2**28  # 256 MiB: the largest n×n float64 array opdiv allocates (n ≤ 5,792)
+# 256 MiB per n×n float64 array (n ≤ 5,792), not per call: several can be live at
+# once, and `grounded_laplacian_inverse` alone peaks at about 4·n² floats
+DENSE_BYTES_LIMIT = 2**28
 
 
 def check_dense_size(n: int) -> None:
@@ -285,16 +287,8 @@ def y_tree(arm0: int, arm1: int, arm2: int) -> Graph:
         raise ArmTooShort(f"all arms must have length >= 1, got {(arm0, arm1, arm2)}")
     n = arm0 + arm1 + arm2 + 1
     center = arm0 + 1
-    edges = [(i, i + 1) for i in range(1, arm0 + 1)]
-    prev = center
-    for v in range(center + 1, center + 1 + arm1):
-        edges.append((prev, v))
-        prev = v
-    prev = center
-    for v in range(center + 1 + arm1, n + 1):
-        edges.append((prev, v))
-        prev = v
-    return build_graph(n, edges)
+    fork = center + arm1  # the leaf of arm1; arm2 starts at fork + 1, off the center
+    return build_graph(n, [(i, i + 1) for i in range(1, n) if i != fork] + [(center, fork + 1)])
 
 
 def generate(spec: str) -> Graph:

@@ -4,7 +4,8 @@ The brute force evaluates every candidate l1 and keeps the full score table,
 so the measure-disagreement demonstration and table reproduction both fall out
 of one call. Predictors return the analytically optimal node sets for paths,
 cycles (l0 = 1 by convention), and Y-trees; each is cross-validated against the
-brute force in tests rather than trusted.
+brute force in tests rather than trusted. `prediction` is the one place that
+decides which predictor applies to a graph in its own labels.
 """
 from __future__ import annotations
 
@@ -174,30 +175,23 @@ def predict_cycle(n: int, R) -> frozenset:
     return frozenset({2, n})
 
 
-def y_tree_structure(g: Graph) -> tuple:
-    """Return (center, leaves) of a Y-tree, raising NotAYTree otherwise."""
-    if not g.is_tree():
-        raise NotAYTree("not a tree")
-    degrees = {v: g.degree(v) for v in range(1, g.n + 1)}
-    centers = [v for v, d in degrees.items() if d == 3]
-    if len(centers) != 1 or any(d > 3 for d in degrees.values()):
-        raise NotAYTree(f"need exactly one degree-3 node and all others degree <= 2")
-    leaves = sorted(v for v, d in degrees.items() if d == 1)
-    return centers[0], leaves
-
-
 def predict_y_tree(g: Graph, l0: int) -> frozenset:
     """Optimal 1-leader placements on a Y-tree with l0 at a leaf.
 
     Returns the leaf ending the longest path from l0 together with its
     neighbor (the two are equivalent); ties include both far leaves and both
     neighbors. The neighbor is the center node itself when the winning arm has
-    length 1.
+    length 1. Raises NotAYTree unless g is a tree with exactly one degree-3
+    node, and LeaderNotLeaf unless l0 is a leaf.
     """
-    center, leaves = y_tree_structure(g)
+    if not g.is_tree():
+        raise NotAYTree("not a tree")
+    degrees = [g.degree(v) for v in range(1, g.n + 1)]
+    if degrees.count(3) != 1 or max(degrees) > 3:
+        raise NotAYTree("need exactly one degree-3 node and all others degree <= 2")
     if g.degree(l0) != 1:
         raise LeaderNotLeaf(f"l0={l0} has degree {g.degree(l0)}, must be a leaf")
-    others = [v for v in leaves if v != l0]
+    others = [v for v in range(1, g.n + 1) if degrees[v - 1] == 1 and v != l0]
     depth = rooted_tree(g, l0).depth
     best = max(depth[v] for v in others)
     out = set()
@@ -206,6 +200,36 @@ def predict_y_tree(g: Graph, l0: int) -> frozenset:
             out.add(v)
             out.add(g.neighbors(v)[0])
     return frozenset(out)
+
+
+def prediction(g: Graph, l0: int, R: int):
+    """The predicted optimal 1-leader set in g's own labels, as (topology, nodes), or None.
+
+    Paths and cycles, in any labelling, get a prediction at R = 2 and at
+    R = n_f, by the R = 2 rule when both hold; Y-trees with l0 at a leaf get
+    one at R = n_f. Every other graph, l0 or R gets None.
+    """
+    n_f = g.n - 2
+    if g.is_cycle():
+        kind = "cycle"
+    elif g.is_tree() and max(g.degree(v) for v in range(1, g.n + 1)) <= 2:
+        kind = "path"
+    elif R == n_f and g.degree(l0) == 1:
+        try:
+            return "ytree", predict_y_tree(g, l0)
+        except NotAYTree:
+            return None
+    else:
+        return None
+    if R not in (2, n_f):
+        return None
+    rule = 2 if R == 2 else "nf"
+    if kind == "cycle":
+        order, pred = cycle_order(g, l0), predict_cycle(g.n, rule)
+    else:
+        order = rooted_tree(g, min(v for v in range(1, g.n + 1) if g.degree(v) == 1)).order
+        pred = predict_path(g.n, order.index(l0) + 1, rule)
+    return kind, frozenset(order[i - 1] for i in pred)
 
 
 def check_balanced_tree_placement(g: Graph, l0: int, l1: int) -> bool:

@@ -7,7 +7,6 @@ a sweep is a deterministic function of its arguments.
 from __future__ import annotations
 
 import bisect
-import math
 import random
 
 import numpy as np
@@ -78,6 +77,18 @@ def audit_theorem2(max_n: int) -> list:
     return lines
 
 
+def _argmax_miss(pred: set, result, equal: bool = False) -> str:
+    """Empty when pred lies in both argmax sets of result (with `equal`, is both),
+    else the counterexample's text."""
+    simpson, shannon = result.argmax_simpson, result.argmax_shannon
+    if (pred == simpson == shannon) if equal else (pred <= simpson and pred <= shannon):
+        return ""
+    return (
+        f"predicted {sorted(pred)} {'!=' if equal else 'not in'} argmax "
+        f"(simpson {sorted(simpson)}, shannon {sorted(shannon)})"
+    )
+
+
 def verify_paths(max_n: int) -> list:
     """Theorem sweeps on paths: farthest-endpoint at R=n_f, mirror node at R=2."""
     bad = []
@@ -88,12 +99,8 @@ def verify_paths(max_n: int) -> list:
             for R in dict.fromkeys((n - 2, 2)):  # one table at n = 4, where n − 2 = 2
                 result = tables[R] = brute_force_best(g, k, R)
                 pred = predict_path(n, k, "nf" if R != 2 else 2)
-                if not (pred <= result.argmax_simpson and pred <= result.argmax_shannon):
-                    bad.append(
-                        f"path n={n} k={k} R={R}: predicted {sorted(pred)} not in argmax "
-                        f"(simpson {sorted(result.argmax_simpson)}, "
-                        f"shannon {sorted(result.argmax_shannon)})"
-                    )
+                if miss := _argmax_miss(pred, result):
+                    bad.append(f"path n={n} k={k} R={R}: {miss}")
             # post-Theorem-1 shortfall: optimal Simpson = 1 − m(m−1)/(n_f(n_f−1))
             # with m zeros-side followers for the better endpoint
             n_f = n - 2
@@ -106,34 +113,22 @@ def verify_paths(max_n: int) -> list:
 
 
 def verify_cycles(max_n: int) -> list:
-    """Theorem sweeps on cycles with l0 = 1, at R = n_f and R = 2."""
+    """Theorem sweeps on cycles with l0 = 1, at R = n_f and R = 2: the exact
+    argmax sets, whose members attain `max_diversity`."""
     bad = []
     for n in range(4, max_n + 1):
         g = graphs.cycle(n)
         n_f = n - 2
-        result = brute_force_best(g, 1, n_f)
-        expected = predict_cycle(n, "nf")
-        if result.argmax_simpson != expected or result.argmax_shannon != expected:
-            bad.append(
-                f"cycle n={n} R=nf: argmax (simpson {sorted(result.argmax_simpson)}, "
-                f"shannon {sorted(result.argmax_shannon)}) != {sorted(expected)}"
-            )
-        best = result.scores[min(expected)]
-        if abs(best.simpson - 1.0) > NUM_TOL or abs(best.shannon - math.log(n_f)) > NUM_TOL:
-            bad.append(f"cycle n={n} R=nf: optimum {best} not maximal diversity")
-
-        result = brute_force_best(g, 1, 2)
-        expected = predict_cycle(n, 2)
-        if result.argmax_simpson != expected or result.argmax_shannon != expected:
-            bad.append(
-                f"cycle n={n} R=2: argmax (simpson {sorted(result.argmax_simpson)}, "
-                f"shannon {sorted(result.argmax_shannon)}) != {sorted(expected)}"
-            )
-        best = result.scores[min(expected)]
-        for measure, got in (("simpson", best.simpson), ("shannon", best.shannon)):
-            bound = max_diversity(n_f, 2, measure)
-            if abs(got - bound) > NUM_TOL:
-                bad.append(f"cycle n={n} R=2 {measure}: optimum {got} != bound {bound}")
+        for R in dict.fromkeys((n_f, 2)):  # one table at n = 4, where n_f = 2
+            result = brute_force_best(g, 1, R)
+            expected = predict_cycle(n, "nf" if R != 2 else 2)
+            if miss := _argmax_miss(expected, result, equal=True):
+                bad.append(f"cycle n={n} R={R}: {miss}")
+            best = result.scores[min(expected)]
+            for measure in ("simpson", "shannon"):
+                got, bound = getattr(best, measure), max_diversity(n_f, R, measure)
+                if abs(got - bound) > NUM_TOL:
+                    bad.append(f"cycle n={n} R={R} {measure}: optimum {got} != bound {bound}")
     return bad
 
 
@@ -144,14 +139,9 @@ def verify_ytrees(max_arm: int) -> list:
         for a1 in range(1, max_arm + 1):
             for a2 in range(1, max_arm + 1):
                 g = graphs.y_tree(a0, a1, a2)
-                pred = predict_y_tree(g, 1)
                 result = brute_force_best(g, 1, g.n - 2)
-                if not (pred <= result.argmax_simpson and pred <= result.argmax_shannon):
-                    bad.append(
-                        f"ytree({a0},{a1},{a2}): predicted {sorted(pred)} not in argmax "
-                        f"(simpson {sorted(result.argmax_simpson)}, "
-                        f"shannon {sorted(result.argmax_shannon)})"
-                    )
+                if miss := _argmax_miss(predict_y_tree(g, 1), result):
+                    bad.append(f"ytree({a0},{a1},{a2}): {miss}")
     return bad
 
 
@@ -172,13 +162,9 @@ def verify_trees_r2(max_n: int, n_trees: int = 200, seed: int = DEFAULT_SEED) ->
                     continue
                 if l0 not in results:
                     results[l0] = brute_force_best(g, l0, 2)
-                r = results[l0]
-                if l1 not in r.argmax_simpson or l1 not in r.argmax_shannon:
-                    bad.append(
-                        f"tree n={n} edges={sorted(g.edges)} l0={l0} l1={l1}: certified "
-                        f"but argmax (simpson {sorted(r.argmax_simpson)}, "
-                        f"shannon {sorted(r.argmax_shannon)})"
-                    )
+                if miss := _argmax_miss({l1}, results[l0]):
+                    label = f"tree n={n} edges={sorted(g.edges)} l0={l0} l1={l1}"
+                    bad.append(f"{label} certified: {miss}")
     return bad
 
 
@@ -273,6 +259,10 @@ def verify_appendix(max_n: int, n_trees: int = 200, seed: int = DEFAULT_SEED) ->
     return bad
 
 
+# Each lambda looks its sweep up in this module's namespace at call time, so a
+# tracer that rebinds verify_paths and the rest (bench/spans.py) sees the calls.
+# Binding the functions themselves here would keep the originals and hide the
+# sweeps from its spans without any error.
 SUITES = {
     "paths": lambda bound: verify_paths(bound),
     "cycles": lambda bound: verify_cycles(bound),

@@ -6,7 +6,7 @@ import pytest
 
 from opdiv import brute_force_best, cli, graphs, verify, write_edge_list
 from opdiv.cli import main
-from opdiv.placement import exact_engine
+from opdiv.placement import exact_engine, prediction
 from opdiv.verify import random_tree
 
 from conftest import FIG3_EDGES
@@ -40,9 +40,9 @@ def round_trip_place_json(g, l0, R_spec):
         "l0": l0,
         "max_diversity": cli._bounds(g.n - 2, R),
     }
-    prediction = cli._prediction(g, l0, R)
-    if prediction:
-        kind, pred = prediction
+    predicted = prediction(g, l0, R)
+    if predicted:
+        kind, pred = predicted
         payload["prediction"] = {
             "topology": kind,
             "nodes": sorted(pred),
@@ -95,6 +95,7 @@ class TestPlace:
         ("cycle:30", 5, "nf"),
         ("path:12", 3, "2"),
         ("ytree:2,4,2", 1, "nf"),
+        ("ytree:1,1,1", 1, "nf"),
         ("cycle:9", 2, "3"),
     ])
     def test_json_matches_round_trip_of_to_json(self, capsys, spec, l0, R):
@@ -107,6 +108,13 @@ class TestPlace:
         code, out, _ = run(capsys, "place", "--gen", "ytree:2,4,2", "--l0", "1", "--R", "nf")
         assert code == 0
         assert "predicted optimal (ytree): [6, 7]" in out
+        assert "prediction agrees with brute force: yes" in out
+
+    def test_star_prediction_reported(self, capsys):
+        # K1,3 has R = n_f = 2, where the Y-tree rule applies and every leaf ties
+        code, out, _ = run(capsys, "place", "--gen", "ytree:1,1,1", "--l0", "1", "--R", "nf")
+        assert code == 0
+        assert "predicted optimal (ytree): [2, 3, 4]" in out
         assert "prediction agrees with brute force: yes" in out
 
     def test_path_boundary_opinions_keep_both_endpoints(self, capsys):

@@ -117,9 +117,15 @@ class TestSimulate:
         with pytest.raises(UnstableStep):
             simulate(g, single_pair(1, 7), {v: 0.5 for v in range(1, 8)}, step=3.0)
 
-    def test_oversized_trajectory_rejected_before_allocating(self):
+    def test_oversized_trajectory_rejected_before_allocating(self, monkeypatch):
         # the default horizon on path(1000) with the leaders side by side is
-        # 32,325,592 steps of 998 followers: 258 GB of states
+        # 32,325,592 steps of 998 followers: 258 GB of states. Its lower bound
+        # from λ_min ≤ e(F, S) / n_f, 79,840 steps, already needs 637 MB, so
+        # no eigensolve is needed to refuse it
+        def no_eigensolve(a):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
         tracemalloc.start()
         try:
             with pytest.raises(DenseTooLarge, match=f"limit of {DENSE_BYTES_LIMIT:,} bytes"):

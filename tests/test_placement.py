@@ -34,7 +34,7 @@ from opdiv.errors import (
     TooFewFollowers,
     UnsupportedBinCount,
 )
-from opdiv.placement import TIE_TOL
+from opdiv.placement import TIE_TOL, prediction
 from opdiv.verify import random_tree, verify_cycles, verify_paths, verify_trees_r2, verify_ytrees
 
 
@@ -276,6 +276,48 @@ class TestPredictYTree:
 
     def test_sound_against_brute_force(self):
         assert verify_ytrees(4) == []
+
+
+def relabelled(g, rng):
+    """g with its node labels permuted at random."""
+    perm = list(range(1, g.n + 1))
+    rng.shuffle(perm)
+    return build_graph(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
+
+
+class TestPrediction:
+    """`prediction` maps the predictors onto a graph's own labels."""
+
+    ARMS = [(1, 1, 1), (3, 1, 1), (2, 4, 2), (2, 3, 3), (1, 2, 5), (4, 3, 4)]
+
+    def test_relabelled_graphs_inside_brute_force_argmax(self):
+        rng = random.Random(20180212)
+        cases = [("path", path(n)) for n in range(4, 13)]
+        cases += [("cycle", cycle(n)) for n in range(4, 13)]
+        cases += [("ytree", y_tree(*arms)) for arms in self.ARMS]
+        for kind, canonical in cases:
+            g = relabelled(canonical, rng)
+            n_f = g.n - 2
+            for l0 in range(1, g.n + 1):
+                if n_f != 3:
+                    assert prediction(g, l0, 3) is None
+                for R in dict.fromkeys((2, n_f)):
+                    got = prediction(g, l0, R)
+                    if kind == "ytree" and (R != n_f or g.degree(l0) != 1):
+                        assert got is None, (kind, sorted(g.edges), l0, R)
+                        continue
+                    topology, pred = got
+                    assert topology == kind
+                    r = brute_force_best(g, l0, R)
+                    for argmax in (r.argmax_simpson, r.argmax_shannon):
+                        assert (pred == argmax if kind == "cycle" else pred <= argmax), (
+                            kind, sorted(g.edges), l0, R, sorted(pred), sorted(argmax)
+                        )
+
+    def test_other_graphs_get_none(self, fig3):
+        assert prediction(fig3, 1, 9) is None  # a tree with a degree-4 node
+        chorded = build_graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1), (1, 4)])
+        assert prediction(chorded, 1, 2) is None
 
 
 class TestBalancedTreePlacement:
