@@ -13,10 +13,10 @@ from decimal import ROUND_HALF_UP, Decimal
 import numpy as np
 
 from . import graphs, verify
-from .diversity import SNAP_TOL, BinHistogram, bin_opinions, max_diversity
+from .diversity import SNAP_TOL, BinHistogram, max_diversity
 from .dynamics import steady_state
 from .errors import OpdivError
-from .placement import brute_force_best, exact_engine, prediction
+from .placement import brute_force_best, engine, prediction
 
 DEFAULT_BOUNDS = {"paths": 15, "cycles": 15, "ytrees": 5, "trees-R2": 12, "appendix": 12}
 # the smallest bound at which each suite checks at least one instance
@@ -148,12 +148,8 @@ def cmd_dump(args) -> int:
     lc.validate(g)
     R = _resolve_r(args.R, g.n)
     x = steady_state(g, lc)
-    engine = exact_engine(g)
-    if engine is None:
-        h = bin_opinions(x, R, snap_tol=args.snap_tol)
-    else:  # the exact count row that `place` scores, rather than the binned floats
-        row = engine(g, args.l0, np.array([args.l1 - 1]), R, args.snap_tol)[0]
-        h = BinHistogram(R=R, counts=tuple(row.tolist()))
+    row = engine(g)(g, args.l0, np.array([args.l1 - 1]), R, args.snap_tol)[0]  # `place`'s row
+    h = BinHistogram(R=R, counts=tuple(row.tolist()))
     _emit(_opinions_csv(x) + _histogram_json(h) + "\n", args.out)
     return 0
 

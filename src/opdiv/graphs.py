@@ -25,8 +25,8 @@ from .errors import (
 )
 
 
-# 256 MiB per n×n float64 array (n ≤ 5,792), not per call: several can be live at
-# once, and `grounded_laplacian_inverse` alone peaks at about 4·n² floats
+# 256 MiB per n×n float64 array (n ≤ 5,792), not per call: building the Green's
+# function G̃ holds two at once, so a dense call peaks at about 2·n² floats
 DENSE_BYTES_LIMIT = 2**28
 
 

@@ -23,7 +23,7 @@ from .errors import (
     TooFewFollowers,
 )
 from .graphs import Graph, check_dense_size, cycle_order, rooted_tree
-from .resistance import grounded_laplacian_inverse
+from .resistance import BLOCK, check_inverse, reference_green
 
 TIE_TOL = 1e-9
 
@@ -41,10 +41,10 @@ class PlacementResult:
 def brute_force_best(g: Graph, l0: int, R: int, snap_tol: float = SNAP_TOL) -> PlacementResult:
     """Evaluate every candidate l1 ≠ l0 and return the full score table.
 
-    Each candidate's bin counts come from one of three engines, chosen by the
-    graph's shape: `tree_counts` on trees and `cycle_counts` on cycles count
-    the exact opinions a/D in integers; `dense_counts` serves every other
-    graph from one grounded inverse. R and snap_tol are checked before
+    Each candidate's bin counts come from the engine that `engine(g)` picks by
+    the graph's shape: `tree_counts` on trees and `cycle_counts` on cycles
+    count the exact opinions a/D in integers; `dense_counts` serves every
+    other graph from its Green's function. R and snap_tol are checked before
     anything else is built, and the n×n size guard applies to all three.
     Simpson's argmax compares the integer numerators Σ c(c − 1) exactly;
     Shannon's keeps every candidate within TIE_TOL of the best.
@@ -56,7 +56,7 @@ def brute_force_best(g: Graph, l0: int, R: int, snap_tol: float = SNAP_TOL) -> P
     check_bins(R, snap_tol)
     check_dense_size(g.n)
     F = np.flatnonzero(np.arange(g.n) != l0 - 1)
-    counts = (exact_engine(g) or dense_counts)(g, l0, F, R, snap_tol)
+    counts = engine(g)(g, l0, F, R, snap_tol)
     pairs = (counts * (counts - 1)).sum(axis=1)
     simpson, shannon = score_rows(counts)
     candidates = F + 1
@@ -71,31 +71,40 @@ def brute_force_best(g: Graph, l0: int, R: int, snap_tol: float = SNAP_TOL) -> P
     )
 
 
-def exact_engine(g: Graph):
-    """`tree_counts` on a tree, `cycle_counts` on a cycle, None on any other graph.
+def engine(g: Graph):
+    """The count engine for g's shape: `tree_counts`, `cycle_counts` or `dense_counts`.
 
-    Both engines take a single candidate too: `engine(g, l0, np.array([l1 − 1]),
-    R, snap_tol)[0]` is the exact bin count row of the pair (l0, l1).
+    Each takes any 0-based candidates J ∌ l0 − 1, so `engine(g)(g, l0, np.array([l1 − 1]),
+    R, snap_tol)[0]` is `place`'s count row for the pair (l0, l1).
     """
-    return tree_counts if g.is_tree() else cycle_counts if g.is_cycle() else None
+    return tree_counts if g.is_tree() else cycle_counts if g.is_cycle() else dense_counts
 
 
-def dense_counts(g: Graph, l0: int, F: np.ndarray, R: int, snap_tol: float) -> np.ndarray:
-    """(m, R) bin counts, row j for the 1-leader at node F[j] + 1, from one inverse.
+def dense_counts(g: Graph, l0: int, J: np.ndarray, R: int, snap_tol: float) -> np.ndarray:
+    """(m, R) bin counts, row k for the 1-leader at node J[k] + 1, off the Green's function.
 
-    With G the inverse of the Laplacian grounded at l0 alone, the follower
-    opinions for the 1-leader at l1 are G[:, l1] / G[l1, l1]: the probability
-    that a random walk from each node hits l1 before l0. A table therefore
-    costs one O(n³) factorisation.
+    Moving the ground of G̃ (`reference_green`) from node 1 to l0 gives G, the
+    inverse of L grounded at l0: G(u, v) = G̃(u, v) − G̃(u, l0) − G̃(l0, v) +
+    G̃(l0, l0). The opinions for the 1-leader at j are G[:, j] / G[j, j], the
+    chance that a walk from each node hits j before l0. Columns are moved,
+    checked (`check_inverse`) and binned BLOCK at a time: O(n²) time per table.
     """
-    G = grounded_laplacian_inverse(g, F)
-    # row j also holds candidate j's own opinion G[j, j] / G[j, j] = 1.0, always in the top bin
-    counts = histogram_rows((G / np.diag(G)).T, R, snap_tol)
-    counts[:, -1] -= 1
+    Gt, s = reference_green(g), l0 - 1
+    counts = np.empty((len(J), R), dtype=np.intp)
+    for a in range(0, len(J), BLOCK):
+        Jb = J[a : a + BLOCK]
+        G = Gt[:, Jb] - Gt[:, s, None] - Gt[s, Jb] + Gt[s, s]
+        G[s] = 0.0
+        check_inverse(g, G, s, Jb)
+        rows = histogram_rows((G / G[Jb, np.arange(len(Jb))]).T, R, snap_tol)
+        # each row also holds l0's own opinion 0 and l1's G[j, j] / G[j, j] = 1.0
+        rows[:, 0] -= 1
+        rows[:, -1] -= 1
+        counts[a : a + BLOCK] = rows
     return counts
 
 
-def tree_counts(g: Graph, l0: int, F: np.ndarray, R: int, snap_tol: float) -> np.ndarray:
+def tree_counts(g: Graph, l0: int, J: np.ndarray, R: int, snap_tol: float) -> np.ndarray:
     """`dense_counts` on a tree, exact, from subtree sizes on the tree rooted at l0.
 
     With D = depth(l1) and p_a the ancestor of l1 at depth a, every follower
@@ -111,14 +120,14 @@ def tree_counts(g: Graph, l0: int, F: np.ndarray, R: int, snap_tol: float) -> np
     by_key = order[np.argsort(depth[order], kind="stable")]  # by depth, then preorder index
     keys = depth[by_key] * n + index[by_key]
     at_least = size[by_key] - 1  # followers at or above a/D when the node is p_a
-    cand = F + 1
+    cand = J + 1
     levels = level_thresholds(max(tree.depth), R, snap_tol) * n
     # p_a is the last node at depth a whose preorder index is at most l1's
     p = np.searchsorted(keys, levels[depth[cand]] + index[cand][:, None], "right") - 1
     return _bin_counts(n - 2, at_least[p])
 
 
-def cycle_counts(g: Graph, l0: int, F: np.ndarray, R: int, snap_tol: float) -> np.ndarray:
+def cycle_counts(g: Graph, l0: int, J: np.ndarray, R: int, snap_tol: float) -> np.ndarray:
     """`dense_counts` on a cycle, exact, from the two arcs between the leaders.
 
     An arc of L edges holds L − 1 followers with opinions i/L, i = 1..L − 1,
@@ -127,7 +136,7 @@ def cycle_counts(g: Graph, l0: int, F: np.ndarray, R: int, snap_tol: float) -> n
     """
     position = np.empty(g.n + 1, dtype=np.intp)
     position[cycle_order(g, l0)] = np.arange(g.n)
-    p = position[F + 1]
+    p = position[J + 1]
     levels = level_thresholds(g.n - 1, R, snap_tol)
     # (p − t_k(p)) + ((n − p) − t_k(n − p)) followers at or above boundary k
     return _bin_counts(g.n - 2, g.n - levels[p] - levels[g.n - p])

@@ -19,7 +19,8 @@ import numpy as np
 from .errors import NotAFollower, SolveFailure
 from .graphs import Graph, LeaderConfig, row_index
 
-INVERSE_TOL = 1e-10  # per-entry tolerance on Lff @ inv − I
+INVERSE_TOL = 1e-10  # per-entry tolerance on L·P − I off the grounded rows
+BLOCK = 256  # columns per step of `check_inverse` and of the dense engine's binning
 
 
 @dataclass(frozen=True)
@@ -33,8 +34,8 @@ class GroundedInverse:
 def reference_green(g: Graph) -> np.ndarray:
     """G̃: the inverse of L grounded at node 1, padded with a zero row and column there.
 
-    Built on first use with the checked `grounded_laplacian_inverse` and
-    memoised on g, read-only; it holds n² floats for as long as g lives.
+    opdiv's only dense inverse: built on first use, checked by `check_inverse`
+    and memoised on g, read-only, holding n² floats for as long as g lives.
     L·G̃ = I − e₁1ᵀ, so for any leader set S, x = G̃·s + c·1 with s supported
     on S and 1ᵀs = 0 is harmonic off S.
     """
@@ -42,11 +43,32 @@ def reference_green(g: Graph) -> np.ndarray:
 
 
 def _padded_green(g: Graph) -> np.ndarray:
-    inv = grounded_laplacian_inverse(g, np.arange(1, g.n))
+    try:  # L is freed on return, before G exists, and inv before the check: 2·n² floats
+        inv = np.linalg.inv(g.laplacian()[1:, 1:])
+    except np.linalg.LinAlgError as exc:
+        raise SolveFailure(f"grounded Laplacian is singular: {exc}") from exc
     G = np.zeros((g.n, g.n))
     G[1:, 1:] = inv
+    del inv
+    check_inverse(g, G[:, 1:], 0, np.arange(1, g.n))
     G.flags.writeable = False
     return G
+
+
+def check_inverse(g: Graph, P: np.ndarray, ground, J: np.ndarray) -> None:
+    """SolveFailure unless column k of P is column J[k] of L's inverse grounded at `ground`.
+
+    P is zero on the grounded rows, and every entry of L·P − I[:, J] off them
+    must be within INVERSE_TOL; NaN fails. L·P comes from the edge arrays,
+    BLOCK columns at a time: O(|E|) time per column, O(n·BLOCK) memory.
+    """
+    for a in range(0, len(J), BLOCK):
+        E = g.laplacian_times(P[:, a : a + BLOCK])
+        E[J[a : a + BLOCK], np.arange(E.shape[1])] -= 1.0
+        E[ground] = 0.0
+        err = np.abs(E, out=E).max()
+        if not err <= INVERSE_TOL:
+            raise SolveFailure(f"inverse check failed: max entry error {err:.3e}")
 
 
 def solve_bordered(G: np.ndarray, S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -66,11 +88,11 @@ def solve_bordered(G: np.ndarray, S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def grounded_inverse(g: Graph, lc: LeaderConfig) -> GroundedInverse:
-    """Inverse of Lff from the graph's Green's function, checked against the identity.
+    """Inverse of Lff from the graph's Green's function, checked by `check_inverse`.
 
     With B = [G̃[F,S], 1], Lff⁻¹ = G̃[F,F] − B·K⁻¹·Bᵀ: O(n²·|S|) per call
-    once G̃ exists. The check reads Lff @ inv as the F rows of L @ P, where P
-    holds inv in its F rows and zeros elsewhere: O(n·|E|), from the edge arrays.
+    once G̃ exists. P holds inv in its F rows and zeros elsewhere, so the
+    check reads Lff @ inv as the F rows of L @ P: O(n·|E|), from the edge arrays.
     """
     S, F = lc.split(g)
     G = reference_green(g)
@@ -79,37 +101,8 @@ def grounded_inverse(g: Graph, lc: LeaderConfig) -> GroundedInverse:
     inv = G[F[:, None], F] - B @ solve_bordered(G, S, B.T)
     P = np.zeros((g.n, len(F)))
     P[F] = inv
-    _check_identity(g.laplacian_times(P)[F])
+    check_inverse(g, P, S, F)
     return GroundedInverse(inv=inv, follower_index=row_index(F))
-
-
-def grounded_laplacian_inverse(g: Graph, F: np.ndarray) -> np.ndarray:
-    """Inverse of L[F, F] for a non-empty 0-based index array F of the kept nodes.
-
-    The other nodes are grounded, so F must leave at least one out; the
-    callers ensure it. Every entry of Lff @ inv − I must be within
-    INVERSE_TOL, else SolveFailure; Lff is at hand here, and the dense product
-    costs no more than the inverse. Keeping every node but l0 gives the
-    Green's function whose diagonal entry at u is the l0–u effective resistance.
-    """
-    Lff = g.laplacian()[F[:, None], F]
-    try:
-        inv = np.linalg.inv(Lff)
-    except np.linalg.LinAlgError as exc:
-        raise SolveFailure(f"grounded Laplacian is singular: {exc}") from exc
-    _check_identity(Lff @ inv)
-    return inv
-
-
-def _check_identity(product: np.ndarray) -> None:
-    """SolveFailure unless every entry of `product` (Lff @ inv) − I is within INVERSE_TOL.
-
-    NaN fails. `product` is overwritten.
-    """
-    product.ravel()[:: len(product) + 1] -= 1.0
-    err = np.max(np.abs(product))
-    if not err <= INVERSE_TOL:
-        raise SolveFailure(f"inverse check failed: max entry error {err:.3e}")
 
 
 def leader_set_resistance(gi: GroundedInverse, u: int) -> float:

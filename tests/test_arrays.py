@@ -26,7 +26,7 @@ from opdiv import (
 )
 from opdiv import dynamics, graphs, verify
 from opdiv.errors import SolveFailure
-from opdiv.resistance import grounded_laplacian_inverse
+from opdiv.resistance import reference_green
 from opdiv.verify import random_tree
 
 from conftest import pairwise_resistance
@@ -189,12 +189,21 @@ class TestCheckedInverse:
     def test_matches_dense_inverse_of_the_block(self):
         g = with_extra_edges(random_tree(20, random.Random(2)), 4, random.Random(3))
         F = np.array([0, 3, 4, 7, 8, 12, 19])
-        inv = grounded_laplacian_inverse(g, F)
+        leaders = sorted(set(range(1, 21)) - set((F + 1).tolist()))
+        inv = grounded_inverse(g, LeaderConfig(zeros=leaders[:5], ones=leaders[5:])).inv
         assert np.allclose(inv @ g.laplacian()[np.ix_(F, F)], np.eye(len(F)), atol=1e-12)
+        G = reference_green(g)  # the one inverse behind it, of L grounded at node 1
+        assert np.allclose(G[1:, 1:] @ g.laplacian()[1:, 1:], np.eye(19), atol=1e-12)
 
-    def test_singular_block_is_a_solve_failure(self):
-        with pytest.raises(SolveFailure):
-            grounded_laplacian_inverse(path(4), np.arange(4))
+    def test_singular_block_is_a_solve_failure(self, monkeypatch):
+        def singular(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        g = path(4)
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        with pytest.raises(SolveFailure, match="singular"):
+            steady_state(g, single_pair(1, 4))
+        assert g._green_cache is None
 
 
 class TestWorkCounts:

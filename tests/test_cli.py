@@ -6,10 +6,12 @@ import pytest
 
 from opdiv import brute_force_best, cli, graphs, verify, write_edge_list
 from opdiv.cli import main
-from opdiv.placement import exact_engine, prediction
+from opdiv.errors import OpinionOutOfRange
+from opdiv.placement import engine, prediction
 from opdiv.verify import random_tree
 
 from conftest import FIG3_EDGES
+from test_golden import graph_sources
 
 
 @pytest.fixture
@@ -202,27 +204,46 @@ class TestDump:
             assert line.endswith(",1")
 
     @pytest.mark.parametrize("snap", ["0", "1e-09"])
-    def test_histogram_is_the_place_count_row_on_trees_and_cycles(self, capsys, tmp_path, snap):
+    def test_histogram_is_the_place_count_row_on_every_engine(self, capsys, tmp_path, snap):
         tree = random_tree(24, random.Random(5))
-        (tmp_path / "tree").write_text(write_edge_list(tree))
+        ring = [(i, i % 20 + 1) for i in range(1, 21)]
+        chorded = graphs.build_graph(20, ring + [(1, 11), (4, 15)])
         sources = [(graphs.generate(s), ["--gen", s]) for s in ("path:17", "cycle:23", "ytree:3,5,2")]
-        sources.append((tree, ["--graph", str(tmp_path / "tree")]))
+        for name, g in (("tree", tree), ("chorded", chorded)):
+            (tmp_path / name).write_text(write_edge_list(g))
+            sources.append((g, ["--graph", str(tmp_path / name)]))
+        source = graph_sources(tmp_path)["tree+edges:30"]
+        sources.append((graphs.read_edge_list(open(source[1]).read()), source))
         parser = cli.build_parser()  # built once: argparse setup would dominate the run time
         for g, source in sources:
-            n_f = g.n - 2
+            n_f, count = g.n - 2, engine(g)
             for l0 in (1, 5):
                 F = np.flatnonzero(np.arange(g.n) != l0 - 1)
                 for R in (2, 5, n_f):
-                    table = exact_engine(g)(g, l0, F, R, float(snap))
-                    result = brute_force_best(g, l0, R, snap_tol=float(snap))
-                    for l1, row in zip((F + 1).tolist(), table.tolist()):
+                    try:
+                        table = count(g, l0, F, R, float(snap)).tolist()
+                        scores = brute_force_best(g, l0, R, snap_tol=float(snap)).scores
+                    except OpinionOutOfRange:  # at snap 0 off trees and cycles: `place` exits 1
+                        table = scores = None
+                    for i, l1 in enumerate((F + 1).tolist()):
                         args = parser.parse_args(["dump", *source, "--l0", str(l0), "--l1", str(l1),
                                                   "--R", str(R), "--snap-tol", snap])
+                        if table is None:  # then l1's own row may raise too, and dump with it
+                            try:
+                                row = count(g, l0, F[i : i + 1], R, float(snap))[0].tolist()
+                            except OpinionOutOfRange:
+                                with pytest.raises(OpinionOutOfRange):
+                                    args.func(args)
+                                capsys.readouterr()
+                                continue
+                        else:
+                            row = table[i]
                         assert args.func(args) == 0
                         counts = json.loads(capsys.readouterr().out.splitlines()[-1])["counts"]
                         assert counts == row
-                        simpson = 1.0 - sum(c * (c - 1) for c in counts) / (n_f * (n_f - 1))
-                        assert simpson == result.scores[l1].simpson
+                        if table is not None:
+                            simpson = 1.0 - sum(c * (c - 1) for c in counts) / (n_f * (n_f - 1))
+                            assert simpson == scores[l1].simpson
 
     def test_missing_file(self, capsys, tmp_path):
         code, out, err = run(capsys, "dump", "--graph", str(tmp_path / "nope.edges"),

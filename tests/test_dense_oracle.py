@@ -18,7 +18,7 @@ import pytest
 
 from opdiv import brute_force_best, build_graph
 from opdiv.diversity import SNAP_TOL
-from opdiv.placement import dense_counts, exact_engine
+from opdiv.placement import dense_counts, engine
 
 
 def exact_inverse(A):
@@ -107,7 +107,7 @@ def graphs():
 @pytest.mark.parametrize("n,edges", graphs().values(), ids=graphs().keys())
 def test_dense_counts_and_argmax_sets_are_exact(n, edges):
     g = build_graph(n, edges)
-    assert exact_engine(g) is None  # neither a tree nor a cycle: the dense engine serves it
+    assert engine(g) is dense_counts  # neither a tree nor a cycle
     X = green_at_node_1(n, edges)
     for l0 in range(1, n + 1):
         F = np.flatnonzero(np.arange(n) != l0 - 1)

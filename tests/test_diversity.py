@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ from opdiv import (
     single_pair,
     steady_state,
 )
-from opdiv.diversity import SNAP_TOL, BinHistogram, bin_index, histogram_rows
+from opdiv.diversity import SNAP_TOL, BinHistogram, bin_index, histogram_rows, score_rows
 from opdiv.errors import OpinionOutOfRange, TooFewFollowers, UnsupportedBinCount
 
 
@@ -124,6 +125,21 @@ class TestIndices:
     def test_too_few(self):
         with pytest.raises(TooFewFollowers):
             simpson_index(histogram(1, 0))
+
+    def test_shannon_of_one_opinion_is_zero_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert shannon_index(histogram(0, 1, 0)) == 0.0
+
+    @given(st.lists(st.integers(min_value=0, max_value=300), min_size=2, max_size=12)
+           .filter(lambda c: sum(c) >= 2))
+    def test_match_score_rows(self, counts):
+        # the scalar indices and the row form `brute_force_best` scores with: Simpson
+        # divides the same two exact integers, Shannon sums R rounded terms of size ≤ 1/e
+        h, R = histogram(*counts), len(counts)
+        simpson, shannon = (float(a[0]) for a in score_rows(np.array([counts])))
+        assert simpson_index(h) == simpson
+        assert abs(shannon_index(h) - shannon) <= (R + 3) * np.finfo(float).eps * max(1.0, shannon)
 
     @given(st.lists(st.integers(min_value=0, max_value=30), min_size=2, max_size=10)
            .filter(lambda c: sum(c) >= 2))

@@ -2,7 +2,7 @@
 
 On trees and cycles every follower opinion is an exact ratio a/D, so
 `tree_counts` and `cycle_counts` count bins in integers. The dense kernel
-(`dense_counts`, one grounded inverse per l0) stays as their oracle: wherever
+(`dense_counts`, read off the graph's Green's function) stays as their oracle: wherever
 no opinion lies within rounding of snap_tol from a boundary, the two must give
 the same (m, R) count arrays, so every score is bit-identical.
 """
@@ -40,18 +40,7 @@ def assert_same_counts(g, l0, R, snap_tol):
 
 
 class TestAgainstDenseKernel:
-    def test_every_labelled_tree_up_to_6(self, monkeypatch):
-        # one dense inverse per (tree, l0) serves its six tables
-        real, memo = placement.grounded_laplacian_inverse, {}
-
-        def once_per_root(g, F):
-            key = (id(g), F.tobytes())
-            if key not in memo:
-                memo.clear()
-                memo[key] = real(g, F)
-            return memo[key]
-
-        monkeypatch.setattr(placement, "grounded_laplacian_inverse", once_per_root)
+    def test_every_labelled_tree_up_to_6(self):
         tables = 0
         for g in labelled_trees(6):
             if g.n < 4:
@@ -158,8 +147,15 @@ def no_inverse(monkeypatch):
     def refuse(*args):
         raise AssertionError("unexpected dense inverse")
 
-    monkeypatch.setattr("opdiv.placement.grounded_laplacian_inverse", refuse)
-    monkeypatch.setattr("opdiv.resistance.grounded_laplacian_inverse", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+
+
+@pytest.fixture
+def inverses(monkeypatch):
+    """The sizes of the matrices that `np.linalg.inv` is asked to invert, in call order."""
+    calls, real = [], np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(len(a)) or real(a))
+    return calls
 
 
 class TestEngineChoice:
@@ -176,14 +172,21 @@ class TestEngineChoice:
                 assert cli.main(["place", "--gen", spec, "--l0", "2", "--format", fmt]) == 0
         capsys.readouterr()
 
-    def test_other_graphs_use_the_dense_kernel(self, monkeypatch):
-        calls = []
-        real = placement.grounded_laplacian_inverse
-        monkeypatch.setattr(placement, "grounded_laplacian_inverse",
-                            lambda g, F: calls.append(g.n) or real(g, F))
+    def test_other_graphs_use_the_dense_kernel(self, inverses):
         chorded = build_graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1), (1, 4)])
+        assert placement.engine(chorded) is dense_counts
         brute_force_best(chorded, 1, 2)
-        assert calls == [6]
+        assert inverses == [5]  # G̃: L grounded at node 1
+
+    def test_one_inverse_serves_every_l0_and_dump(self, inverses, monkeypatch, capsys):
+        chorded = build_graph(9, [(i, i % 9 + 1) for i in range(1, 10)] + [(2, 6), (3, 8)])
+        for l0 in range(1, 10):
+            for R in (2, 7):
+                brute_force_best(chorded, l0, R)
+        monkeypatch.setattr(cli, "_load_graph", lambda args: chorded)
+        assert cli.main(["dump", "--gen", "unused", "--l0", "4", "--l1", "7"]) == 0
+        capsys.readouterr()
+        assert inverses == [8]
 
     def test_is_cycle(self, fig3):
         assert cycle(3).is_cycle() and cycle(40).is_cycle()

@@ -114,6 +114,14 @@ class TestKernelAgainstPerCandidateSolve:
         with pytest.raises(SolveFailure):
             brute_force_best(build_graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1), (1, 4)]), 1, 4)
 
+    def test_failed_block_check_raises_on_a_checked_green(self, monkeypatch):
+        # G̃ passed its own check; the columns moved to l0 are checked again
+        g = build_graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1), (1, 4)])
+        steady_state(g, single_pair(1, 4))
+        monkeypatch.setattr("opdiv.resistance.INVERSE_TOL", -1.0)
+        with pytest.raises(SolveFailure):
+            brute_force_best(g, 2, 4)
+
 
 def exact_path_opinions(n, k, j):
     """Follower -> exact opinion on a path with l0 = k and l1 = j."""
