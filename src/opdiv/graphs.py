@@ -63,10 +63,10 @@ class EdgeIndex:
 class Graph:
     """Connected simple undirected graph over nodes 1..n.
 
-    Derived structures (adjacency, edge arrays, rooted trees and the
-    Green's function of `resistance.reference_green`) are built on first use
-    and memoised on the instance; the graph is immutable, so they never go
-    stale.
+    Derived structures (adjacency, edge arrays, rooted trees, a cycle's node
+    positions and the Green's function of `resistance.reference_green`) are
+    built on first use and memoised on the instance; the graph is immutable,
+    so they never go stale.
     """
 
     n: int
@@ -75,6 +75,7 @@ class Graph:
     _adj_cache: dict = field(default=None, repr=False, compare=False)
     _edge_cache: EdgeIndex = field(default=None, repr=False, compare=False)
     _tree_cache: dict = field(default=None, repr=False, compare=False)
+    _cycle_cache: np.ndarray = field(default=None, repr=False, compare=False)
     _green_cache: np.ndarray = field(default=None, repr=False, compare=False)
 
     def _memo(self, name: str, build):
@@ -432,6 +433,18 @@ def cycle_order(g: Graph, start: int) -> list:
         prev, cur = order[-2], order[-1]
         order.append(next(w for w in g.neighbors(cur) if w != prev))
     return order
+
+
+def cycle_position(g: Graph) -> np.ndarray:
+    """position[v]: node v's index in `cycle_order(g, 1)` (entry 0 unused), memoised on g."""
+
+    def build():
+        position = np.zeros(g.n + 1, dtype=np.intp)
+        position[cycle_order(g, 1)] = np.arange(g.n)
+        position.flags.writeable = False
+        return position
+
+    return g._memo("_cycle_cache", build)
 
 
 def tree_path(g: Graph, a: int, b: int) -> list:

@@ -17,12 +17,15 @@ from .diversity import (
     DiversityScore, SNAP_TOL, check_bins, histogram_rows, level_thresholds, score_rows,
 )
 from .errors import (
+    DenseTooLarge,
     InvalidLeaderConfig,
     LeaderNotLeaf,
     NotAYTree,
     TooFewFollowers,
 )
-from .graphs import Graph, check_dense_size, cycle_order, rooted_tree
+from .graphs import (
+    DENSE_BYTES_LIMIT, Graph, check_dense_size, cycle_order, cycle_position, rooted_tree,
+)
 from .resistance import BLOCK, check_inverse, reference_green
 
 TIE_TOL = 1e-9
@@ -41,62 +44,110 @@ class PlacementResult:
 def brute_force_best(g: Graph, l0: int, R: int, snap_tol: float = SNAP_TOL) -> PlacementResult:
     """Evaluate every candidate l1 ≠ l0 and return the full score table.
 
-    Each candidate's bin counts come from the engine that `engine(g)` picks by
-    the graph's shape: `tree_counts` on trees and `cycle_counts` on cycles
-    count the exact opinions a/D in integers; `dense_counts` serves every
-    other graph from its Green's function. R and snap_tol are checked before
-    anything else is built, and the n×n size guard applies to all three.
-    Simpson's argmax compares the integer numerators Σ c(c − 1) exactly;
-    Shannon's keeps every candidate within TIE_TOL of the best.
+    The one-l0 case of `brute_force_tables`, with the same checks, errors and
+    argmax rules.
     """
-    if g.n - 2 < 2:
-        raise TooFewFollowers(f"n={g.n} leaves fewer than 2 followers after placing l1")
-    if not 1 <= l0 <= g.n:
-        raise InvalidLeaderConfig(f"leader {l0} outside 1..{g.n}")
+    return brute_force_tables(g, [l0], R, snap_tol)[l0]
+
+
+def brute_force_tables(g: Graph, L0, R: int, snap_tol: float = SNAP_TOL) -> dict:
+    """{l0: `brute_force_best(g, l0, R, snap_tol)`} for every l0 in L0, from one count array.
+
+    Each pair's bin counts come from the engine that `engine(g)` picks by the
+    graph's shape: `tree_counts` on trees and `cycle_counts` on cycles count
+    the exact opinions a/D in integers; `dense_counts` serves every other
+    graph from its Green's function. Each engine call takes the pairs
+    (l0, l1) of as many l0s as fit in BLOCK pairs, so every l0 of a graph
+    with n ≤ 16 costs one call, and one `score_rows` call scores them all.
+    R and snap_tol are checked before anything else is built. The n×n size
+    guard applies to all three engines, and so does a guard on the
+    k·(n − 1)·R count table (on trees, also on the depth, index and size of
+    the k rooted trees memoised on g), checked before either exists.
+    Simpson's argmax compares the integer numerators Σ c(c − 1) exactly. At
+    R = 2 Shannon's is the same set, since with n_f fixed both indices fall
+    strictly as |c₁ − c₂| grows; at R ≥ 3 it keeps every candidate within
+    TIE_TOL of the best.
+    """
+    n = g.n
+    if n - 2 < 2:
+        raise TooFewFollowers(f"n={n} leaves fewer than 2 followers after placing l1")
+    L0 = list(dict.fromkeys(L0))
+    for l0 in L0:
+        if not 1 <= l0 <= n:
+            raise InvalidLeaderConfig(f"leader {l0} outside 1..{n}")
     check_bins(R, snap_tol)
-    check_dense_size(g.n)
-    F = np.flatnonzero(np.arange(g.n) != l0 - 1)
-    counts = engine(g)(g, l0, F, R, snap_tol)
-    pairs = (counts * (counts - 1)).sum(axis=1)
-    simpson, shannon = score_rows(counts)
-    candidates = F + 1
-    return PlacementResult(
-        scores={
-            v: DiversityScore(simpson=s, shannon=h)
-            for v, s, h in zip(candidates.tolist(), simpson.tolist(), shannon.tolist())
-        },
-        argmax_simpson=frozenset(candidates[pairs == pairs.min()].tolist()),
-        argmax_shannon=frozenset(candidates[shannon >= shannon.max() - TIE_TOL].tolist()),
-        R=R,
+    check_dense_size(n)
+    k, m, count = len(L0), n - 1, engine(g)
+    entries = k * m * R  # the count table
+    if count is tree_counts:  # or the k rooted trees' depth, index and size, if more
+        entries = max(entries, 3 * k * n)
+    if 8 * entries > DENSE_BYTES_LIMIT:
+        raise DenseTooLarge(
+            f"{k} tables of {m}×{R} counts need {8 * entries:,} bytes, over the limit of "
+            f"{DENSE_BYTES_LIMIT:,} bytes"
+        )
+    if not L0:
+        return {}
+    candidates = np.arange(1, n)
+    candidates = candidates + (candidates >= np.array(L0)[:, None])  # row r: all nodes but L0[r]
+    J, step = candidates - 1, max(1, BLOCK // m)
+    chunks = [
+        count(g, L0[a] if k == 1 else np.repeat(L0[a : a + step], m), J[a : a + step].ravel(),
+              R, snap_tol)
+        for a in range(0, k, step)
+    ]
+    counts = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    pairs = (counts * (counts - 1)).sum(axis=1).reshape(k, m)
+    simpson, shannon = (x.reshape(k, m) for x in score_rows(counts))
+    best_simpson = pairs == pairs.min(axis=1, keepdims=True)
+    best_shannon = (
+        best_simpson if R == 2 else shannon >= shannon.max(axis=1, keepdims=True) - TIE_TOL
     )
+    rows = zip(L0, candidates, candidates.tolist(), simpson.tolist(), shannon.tolist(),
+               best_simpson, best_shannon)
+    return {
+        l0: PlacementResult(
+            scores={v: DiversityScore(simpson=s, shannon=h) for v, s, h in zip(cand, simp, shan)},
+            argmax_simpson=frozenset(row[bs].tolist()),
+            argmax_shannon=frozenset(row[bh].tolist()),
+            R=R,
+        )
+        for l0, row, cand, simp, shan, bs, bh in rows
+    }
 
 
 def engine(g: Graph):
     """The count engine for g's shape: `tree_counts`, `cycle_counts` or `dense_counts`.
 
-    Each takes any 0-based candidates J ∌ l0 − 1, so `engine(g)(g, l0, np.array([l1 − 1]),
-    R, snap_tol)[0]` is `place`'s count row for the pair (l0, l1).
+    Each scores pairs (l0, l1): it takes 0-based candidates J and either one
+    l0 for all of them or an l0 per candidate, with J[k] ≠ l0[k] − 1, and
+    returns one count row per pair. So `engine(g)(g, l0, np.array([l1 − 1]),
+    R, snap_tol)[0]` is `place`'s count row for the pair (l0, l1), and one
+    call serves every l0 of a graph.
     """
     return tree_counts if g.is_tree() else cycle_counts if g.is_cycle() else dense_counts
 
 
-def dense_counts(g: Graph, l0: int, J: np.ndarray, R: int, snap_tol: float) -> np.ndarray:
-    """(m, R) bin counts, row k for the 1-leader at node J[k] + 1, off the Green's function.
+def dense_counts(g: Graph, l0, J: np.ndarray, R: int, snap_tol: float) -> np.ndarray:
+    """(m, R) bin counts, row k for the leaders l0[k] and J[k] + 1, off the Green's function.
 
     Moving the ground of G̃ (`reference_green`) from node 1 to l0 gives G, the
     inverse of L grounded at l0: G(u, v) = G̃(u, v) − G̃(u, l0) − G̃(l0, v) +
-    G̃(l0, l0). The opinions for the 1-leader at j are G[:, j] / G[j, j], the
-    chance that a walk from each node hits j before l0. Columns are moved,
-    checked (`check_inverse`) and binned BLOCK at a time: O(n²) time per table.
+    G̃(l0, l0), moved column by column to each pair's own l0. The opinions for
+    the 1-leader at j are G[:, j] / G[j, j], the chance that a walk from each
+    node hits j before l0. Columns are moved, checked (`check_inverse`) and
+    binned BLOCK at a time: O(n²) time per table.
     """
-    Gt, s = reference_green(g), l0 - 1
+    Gt, S = reference_green(g), np.atleast_1d(l0) - 1  # one ground for every pair, or one each
     counts = np.empty((len(J), R), dtype=np.intp)
     for a in range(0, len(J), BLOCK):
-        Jb = J[a : a + BLOCK]
-        G = Gt[:, Jb] - Gt[:, s, None] - Gt[s, Jb] + Gt[s, s]
-        G[s] = 0.0
-        check_inverse(g, G, s, Jb)
-        rows = histogram_rows((G / G[Jb, np.arange(len(Jb))]).T, R, snap_tol)
+        Jb, Sb = J[a : a + BLOCK], S if len(S) == 1 else S[a : a + BLOCK]
+        cols = np.arange(len(Jb))
+        ground = Sb, cols  # (row, column) of each column's ground
+        G = Gt[:, Jb] - Gt[:, Sb] - Gt[Sb, Jb] + Gt[Sb, Sb]
+        G[ground] = 0.0
+        check_inverse(g, G, ground, Jb)
+        rows = histogram_rows((G / G[Jb, cols]).T, R, snap_tol)
         # each row also holds l0's own opinion 0 and l1's G[j, j] / G[j, j] = 1.0
         rows[:, 0] -= 1
         rows[:, -1] -= 1
@@ -104,39 +155,48 @@ def dense_counts(g: Graph, l0: int, J: np.ndarray, R: int, snap_tol: float) -> n
     return counts
 
 
-def tree_counts(g: Graph, l0: int, J: np.ndarray, R: int, snap_tol: float) -> np.ndarray:
-    """`dense_counts` on a tree, exact, from subtree sizes on the tree rooted at l0.
+def tree_counts(g: Graph, l0, J: np.ndarray, R: int, snap_tol: float) -> np.ndarray:
+    """`dense_counts` on a tree, exact, from subtree sizes on the tree rooted at each l0.
 
     With D = depth(l1) and p_a the ancestor of l1 at depth a, every follower
     in the subtree of p_a and not in that of p_{a+1} has opinion a/D, so for
     1 ≤ a ≤ D exactly size(p_a) − 1 followers have an opinion ≥ a/D. Each
     bin count is then a difference of two such numbers, taken at the levels
-    `level_thresholds` gives. The ancestors of all candidates come from one
-    `searchsorted` over the nodes keyed by (depth, preorder index).
+    `level_thresholds` gives. The ancestors of all pairs come from one
+    `searchsorted` over the nodes of every rooted tree keyed by (root,
+    depth, preorder index).
     """
-    tree = rooted_tree(g, l0)
-    n, order = g.n, np.array(tree.order)
-    depth, index, size = (np.array(a) for a in (tree.depth, tree.index, tree.size))
-    by_key = order[np.argsort(depth[order], kind="stable")]  # by depth, then preorder index
-    keys = depth[by_key] * n + index[by_key]
-    at_least = size[by_key] - 1  # followers at or above a/D when the node is p_a
-    cand = J + 1
-    levels = level_thresholds(max(tree.depth), R, snap_tol) * n
-    # p_a is the last node at depth a whose preorder index is at most l1's
-    p = np.searchsorted(keys, levels[depth[cand]] + index[cand][:, None], "right") - 1
+    n = g.n
+    roots, at = ([l0], 0) if np.isscalar(l0) else np.unique(l0, return_inverse=True)
+    trees = [rooted_tree(g, int(r)) for r in roots]
+    # row r, column v − 1: node v in the tree rooted at roots[r]
+    rows = [getattr(t, f)[1:] for f in ("depth", "index", "size") for t in trees]
+    depth, index, size = np.array(rows).reshape(3, len(trees), n)
+    if len(trees) > 1:
+        index += np.arange(len(trees))[:, None] * n * n  # keys sort by (row, depth, index)
+    key = (depth * n + index).ravel()
+    by_key = np.argsort(key)
+    at_least = size.ravel()[by_key] - 1  # followers at or above a/D when the node is p_a
+    l1 = at * n + J  # each pair's l1 in its l0's row
+    levels = level_thresholds(max(max(t.depth) for t in trees), R, snap_tol) * n
+    # p_a is the last node at depth a, in l0's tree, whose preorder index is at most l1's
+    query = levels[depth.ravel()[l1]]
+    query += index.ravel()[l1][:, None]
+    p = np.searchsorted(key[by_key], query, "right")
+    p -= 1
     return _bin_counts(n - 2, at_least[p])
 
 
-def cycle_counts(g: Graph, l0: int, J: np.ndarray, R: int, snap_tol: float) -> np.ndarray:
+def cycle_counts(g: Graph, l0, J: np.ndarray, R: int, snap_tol: float) -> np.ndarray:
     """`dense_counts` on a cycle, exact, from the two arcs between the leaders.
 
     An arc of L edges holds L − 1 followers with opinions i/L, i = 1..L − 1,
     so L − t of them have an opinion ≥ t/L for 1 ≤ t ≤ L. With l1 at p edges
-    from l0 the arcs have p and n − p edges.
+    from l0, in either direction, the arcs have p and n − p edges; every p
+    comes from the one `cycle_position` of g.
     """
-    position = np.empty(g.n + 1, dtype=np.intp)
-    position[cycle_order(g, l0)] = np.arange(g.n)
-    p = position[J + 1]
+    position = cycle_position(g)
+    p = (position[J + 1] - position[l0]) % g.n
     levels = level_thresholds(g.n - 1, R, snap_tol)
     # (p − t_k(p)) + ((n − p) − t_k(n − p)) followers at or above boundary k
     return _bin_counts(g.n - 2, g.n - levels[p] - levels[g.n - p])
@@ -144,12 +204,11 @@ def cycle_counts(g: Graph, l0: int, J: np.ndarray, R: int, snap_tol: float) -> n
 
 def _bin_counts(n_f: int, at_least: np.ndarray) -> np.ndarray:
     """(m, R) bin counts from the followers at or above each inner boundary k = 1..R − 1."""
-    m, inner = at_least.shape
-    ge = np.empty((m, inner + 2), dtype=np.intp)
-    ge[:, 0] = n_f
-    ge[:, 1:-1] = at_least
-    ge[:, -1] = 0
-    return ge[:, :-1] - ge[:, 1:]
+    counts = np.empty((len(at_least), at_least.shape[1] + 1), dtype=np.intp)
+    counts[:, 0] = n_f - at_least[:, 0]
+    np.subtract(at_least[:, :-1], at_least[:, 1:], out=counts[:, 1:-1])
+    counts[:, -1] = at_least[:, -1]
+    return counts
 
 
 def predict_path(n: int, k: int, R) -> frozenset:

@@ -56,11 +56,14 @@ def _padded_green(g: Graph) -> np.ndarray:
 
 
 def check_inverse(g: Graph, P: np.ndarray, ground, J: np.ndarray) -> None:
-    """SolveFailure unless column k of P is column J[k] of L's inverse grounded at `ground`.
+    """SolveFailure unless column k of P is column J[k] of L's inverse, grounded where P is zero.
 
-    P is zero on the grounded rows, and every entry of L·P − I[:, J] off them
-    must be within INVERSE_TOL; NaN fails. L·P comes from the edge arrays,
-    BLOCK columns at a time: O(|E|) time per column, O(n·BLOCK) memory.
+    `ground` indexes the grounded entries of L·P: a row or rows that every
+    column shares, or, when P has at most BLOCK columns, a (rows, columns)
+    pair that grounds each column at its own row. Every other entry of
+    L·P − I[:, J] must be within INVERSE_TOL; NaN fails. L·P comes from the
+    edge arrays, BLOCK columns at a time: O(|E|) time per column, O(n·BLOCK)
+    memory.
     """
     for a in range(0, len(J), BLOCK):
         E = g.laplacian_times(P[:, a : a + BLOCK])

@@ -16,6 +16,7 @@ from .diversity import max_diversity
 from .dynamics import steady_state
 from .placement import (
     brute_force_best,
+    brute_force_tables,
     check_balanced_tree_placement,
     predict_cycle,
     predict_path,
@@ -61,8 +62,8 @@ def audit_theorem2(max_n: int) -> list:
     lines = []
     for n in range(4, max_n + 1):
         g = graphs.path(n)
-        for k in range(1, n + 1):
-            result = brute_force_best(g, k, 2)
+        tables = brute_force_tables(g, range(1, n + 1), 2)
+        for k, result in tables.items():
             j = n - k + 1 if k < n / 2 else n - k
             if j == k or not 1 <= j <= n:
                 verdict = f"invalid (j={j})"
@@ -94,19 +95,19 @@ def verify_paths(max_n: int) -> list:
     bad = []
     for n in range(4, max_n + 1):
         g = graphs.path(n)
+        n_f = n - 2
+        # every l0 at once, one batch per R; one R at n = 4, where n − 2 = 2
+        tables = {R: brute_force_tables(g, range(1, n + 1), R) for R in dict.fromkeys((n_f, 2))}
         for k in range(1, n + 1):
-            tables = {}
-            for R in dict.fromkeys((n - 2, 2)):  # one table at n = 4, where n − 2 = 2
-                result = tables[R] = brute_force_best(g, k, R)
+            for R, table in tables.items():
                 pred = predict_path(n, k, "nf" if R != 2 else 2)
-                if miss := _argmax_miss(pred, result):
+                if miss := _argmax_miss(pred, table[k]):
                     bad.append(f"path n={n} k={k} R={R}: {miss}")
             # post-Theorem-1 shortfall: optimal Simpson = 1 − m(m−1)/(n_f(n_f−1))
             # with m zeros-side followers for the better endpoint
-            n_f = n - 2
             m = min(k - 1, n - k)
             expect = 1.0 - m * (m - 1) / (n_f * (n_f - 1))
-            attained = max(s.simpson for s in tables[n_f].scores.values())
+            attained = max(s.simpson for s in tables[n_f][k].scores.values())
             if abs(attained - expect) > NUM_TOL:
                 bad.append(f"path n={n} k={k}: Simpson optimum {attained} != {expect}")
     return bad
@@ -153,18 +154,18 @@ def verify_trees_r2(max_n: int, n_trees: int = 200, seed: int = DEFAULT_SEED) ->
     for _ in range(n_trees):
         n = rng.randrange(5, max_n + 1)
         g = random_tree(n, rng)
-        results = {}
-        for l0 in range(1, n + 1):
-            for l1 in range(1, n + 1):
-                if l1 == l0:
-                    continue
-                if not check_balanced_tree_placement(g, l0, l1):
-                    continue
-                if l0 not in results:
-                    results[l0] = brute_force_best(g, l0, 2)
-                if miss := _argmax_miss({l1}, results[l0]):
-                    label = f"tree n={n} edges={sorted(g.edges)} l0={l0} l1={l1}"
-                    bad.append(f"{label} certified: {miss}")
+        certified = [
+            (l0, l1)
+            for l0 in range(1, n + 1)
+            for l1 in range(1, n + 1)
+            if l1 != l0 and check_balanced_tree_placement(g, l0, l1)
+        ]
+        # one batch per tree, for the certified l0s only
+        results = brute_force_tables(g, (l0 for l0, _ in certified), 2)
+        for l0, l1 in certified:
+            if miss := _argmax_miss({l1}, results[l0]):
+                label = f"tree n={n} edges={sorted(g.edges)} l0={l0} l1={l1}"
+                bad.append(f"{label} certified: {miss}")
     return bad
 
 

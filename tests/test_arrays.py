@@ -24,7 +24,7 @@ from opdiv import (
     single_pair,
     steady_state,
 )
-from opdiv import dynamics, graphs, verify
+from opdiv import cli, dynamics, graphs, verify
 from opdiv.errors import SolveFailure
 from opdiv.resistance import reference_green
 from opdiv.verify import random_tree
@@ -208,18 +208,42 @@ class TestCheckedInverse:
 
 class TestWorkCounts:
     def test_paths_suite_builds_each_table_once(self, monkeypatch):
+        # one batch per (n, R), together holding each (n, k, R) table once
         calls = []
-        real = verify.brute_force_best
+        real = verify.brute_force_tables
 
-        def counted(g, l0, R):
-            calls.append((g.n, l0, R))
-            return real(g, l0, R)
+        def counted(g, L0, R):
+            L0 = list(L0)
+            calls.append((g.n, R, L0))
+            return real(g, L0, R)
 
-        monkeypatch.setattr(verify, "brute_force_best", counted)
+        monkeypatch.setattr(verify, "brute_force_tables", counted)
         assert verify.verify_paths(9) == []
-        assert sorted(calls) == sorted({
+        tables = [(n, k, R) for n, R, L0 in calls for k in L0]
+        assert sorted(tables) == sorted({
             (n, k, R) for n in range(4, 10) for k in range(1, n + 1) for R in (n - 2, 2)
         })
+        assert sorted((n, R) for n, R, _ in calls) == sorted({
+            (n, R) for n in range(4, 10) for R in (n - 2, 2)
+        })
+
+    def test_trees_r2_batches_each_certified_tree_once(self, monkeypatch):
+        # the default sweep: 200 trees, 148 of them with a certified pair, and 814
+        # certified l0s, each scored once, in one batch per tree
+        calls = []
+        real = verify.brute_force_tables
+
+        def counted(g, L0, R):
+            L0 = list(L0)
+            calls.append((g, R, L0))
+            return real(g, L0, R)
+
+        monkeypatch.setattr(verify, "brute_force_tables", counted)
+        assert verify.verify_trees_r2(cli.DEFAULT_BOUNDS["trees-R2"]) == []
+        assert len({id(g) for g, _, _ in calls}) == len(calls) == 200
+        assert {R for _, R, _ in calls} == {2}
+        assert sum(bool(L0) for _, _, L0 in calls) == 148
+        assert sum(len(set(L0)) for _, _, L0 in calls) == 814
 
     def test_audit_builds_one_path_per_n(self, monkeypatch):
         built = []

@@ -69,12 +69,13 @@ class TestPathClosedForm:
             path_closed_form(5, 3, 3)
 
     def test_matches_solver_everywhere(self):
-        # oracle equivalence on every path instance up to n=30
+        # oracle equivalence on every path instance up to n=30, one graph per n
         for n in range(3, 31):
+            g = path(n)
             for k in range(1, n):
                 for j in range(k + 1, n + 1):
                     exact = path_closed_form(n, k, j)
-                    solved = steady_state(path(n), single_pair(k, j))
+                    solved = steady_state(g, single_pair(k, j))
                     err = max(abs(exact.values[v] - solved.values[v]) for v in exact.values)
                     assert err <= 1e-9, (n, k, j, err)
 

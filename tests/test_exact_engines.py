@@ -8,6 +8,7 @@ the same (m, R) count arrays, so every score is bit-identical.
 """
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,15 +20,22 @@ from opdiv import cli, placement
 from opdiv.diversity import SNAP_TOL, bin_index, histogram_rows, level_thresholds
 from opdiv.errors import DenseTooLarge, SnapToleranceOutOfRange, UnsupportedBinCount
 from opdiv.graphs import DENSE_BYTES_LIMIT
-from opdiv.placement import cycle_counts, dense_counts, tree_counts
+from opdiv.placement import TIE_TOL, brute_force_tables, cycle_counts, dense_counts, tree_counts
 from opdiv.verify import random_tree
 
+from test_dense_oracle import chorded_cycle, graphs as oracle_graphs
 from test_placement import exact_cycle_opinions, exact_path_opinions, exact_table
 from test_tree_spine import labelled_trees
 
 
 def followers_of(g, l0):
     return np.flatnonzero(np.arange(g.n) != l0 - 1)
+
+
+def all_pairs(g):
+    """(L0, J) over every ordered pair of distinct nodes, l0 1-based and j 0-based."""
+    i = np.arange(g.n - 1)
+    return np.repeat(np.arange(1, g.n + 1), g.n - 1), (i + (i >= np.arange(g.n)[:, None])).ravel()
 
 
 def assert_same_counts(g, l0, R, snap_tol):
@@ -41,15 +49,19 @@ def assert_same_counts(g, l0, R, snap_tol):
 
 class TestAgainstDenseKernel:
     def test_every_labelled_tree_up_to_6(self):
+        # each engine call scores every pair (l0, l1) of the tree: n tables at once
         tables = 0
         for g in labelled_trees(6):
             if g.n < 4:
                 continue
-            for l0 in range(1, g.n + 1):
-                for R in dict.fromkeys((2, 3, g.n - 2)):
-                    for snap_tol in (SNAP_TOL, 1e-6):
-                        assert_same_counts(g, l0, R, snap_tol)
-                        tables += 1
+            L0, J = all_pairs(g)
+            for R in dict.fromkeys((2, 3, g.n - 2)):
+                for snap_tol in (SNAP_TOL, 1e-6):
+                    got = tree_counts(g, L0, J, R, snap_tol)
+                    want = dense_counts(g, L0, J, R, snap_tol)
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want), (sorted(g.edges), R, snap_tol)
+                    tables += g.n
         # every l0 of the n^(n-2) labelled trees, n = 4..6; R = n − 2 is 2 at n = 4 and 3 at n = 5
         assert tables == 2 * (16 * 4 * 2 + 125 * 5 * 2 + 1296 * 6 * 3)
 
@@ -245,3 +257,98 @@ class TestSnapToleranceDomain:
         assert level_thresholds(8, 4, below)[8].tolist() == [2, 4, 6]
         for g in (path(9), cycle(9), self.CHORDED):
             assert len(brute_force_best(g, 1, 4, snap_tol=below).scores) == g.n - 1
+
+
+def assert_batch_is_best_per_l0(g):
+    """Every l0 of g in one `brute_force_tables` call equals `brute_force_best` per l0."""
+    for R in dict.fromkeys((2, 5, g.n - 2)):
+        batch = brute_force_tables(g, range(1, g.n + 1), R)
+        assert list(batch) == list(range(1, g.n + 1))
+        for l0, result in batch.items():
+            single = brute_force_best(g, l0, R)
+            assert result == single, (sorted(g.edges), l0, R)
+            assert list(result.scores) == list(single.scores)
+            if R == 2:  # inside the size guard the exact rule keeps TIE_TOL's set
+                best = max(s.shannon for s in result.scores.values())
+                tied = {v for v, s in result.scores.items() if s.shannon >= best - TIE_TOL}
+                assert result.argmax_shannon == tied == result.argmax_simpson
+
+
+CHORDED = [build_graph(*chorded_cycle(n, chords)) for n, chords in (
+    (9, [(2, 6), (3, 8)]), (20, [(1, 11), (4, 15)]), (40, [(1, 21), (5, 30), (12, 13 + 20)]),
+)]
+
+
+class TestBatch:
+    def test_every_labelled_tree_up_to_6(self):
+        for g in labelled_trees(6):
+            if g.n >= 4:
+                assert_batch_is_best_per_l0(g)
+
+    @pytest.mark.parametrize("n", range(4, 61))
+    def test_cycles(self, n):
+        assert_batch_is_best_per_l0(cycle(n))
+
+    @pytest.mark.parametrize("n,edges", [*oracle_graphs().values(), *(
+        (g.n, sorted(g.edges)) for g in CHORDED)],
+        ids=[*oracle_graphs().keys(), *(f"chorded{g.n}" for g in CHORDED)])
+    def test_dense_graphs(self, n, edges):
+        assert_batch_is_best_per_l0(build_graph(n, edges))
+
+    @pytest.mark.parametrize("g", [random_tree(20, random.Random(3)), cycle(17), CHORDED[1]],
+                             ids=["tree", "cycle", "chorded"])
+    def test_engines_take_pairs_in_any_order(self, g):
+        L0, J = all_pairs(g)
+        shuffle = np.random.default_rng(g.n).permutation(len(J))
+        count = placement.engine(g)
+        for R in (2, 5, g.n - 2):
+            per_l0 = np.concatenate([
+                count(g, l0, followers_of(g, l0), R, SNAP_TOL) for l0 in range(1, g.n + 1)
+            ])
+            got = count(g, L0[shuffle], J[shuffle], R, SNAP_TOL)
+            assert np.array_equal(got, per_l0[shuffle])
+
+    def test_dense_batch_makes_one_inverse(self, inverses):
+        g = CHORDED[2]
+        for R in (2, 5, g.n - 2):
+            assert len(brute_force_tables(g, range(1, g.n + 1), R)) == g.n
+        assert inverses == [g.n - 1]
+
+    @pytest.mark.parametrize("kind,n,R", [
+        ("tree", 3000, "nf"), ("cycle", 3000, "nf"), ("cycle+chord", 3000, "nf"), ("tree", 4000, 2),
+    ])
+    def test_oversized_table_raises_before_allocating(self, kind, n, R):
+        # R = n_f: one l0 needs 72 MB of counts, all 3000 need 216 GB. R = 2 on a
+        # 4000-node tree: the counts fit (255.9 MB), the 4000 rooted trees do not (384 MB)
+        edges = [(i, i + 1) for i in range(1, n)]
+        if kind != "tree":
+            edges.append((n, 1))
+        if kind == "cycle+chord":
+            edges.append((1, n // 2))
+        g = build_graph(n, edges)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DenseTooLarge, match=f"{DENSE_BYTES_LIMIT:,} bytes"):
+                brute_force_tables(g, range(1, n + 1), n - 2 if R == "nf" else R)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert g._tree_cache is None and g._green_cache is None
+
+
+def test_shannon_argmax_is_exact_at_r2_past_the_guard(monkeypatch):
+    # neighbouring Shannon values differ by less than TIE_TOL here, so the TIE_TOL rule
+    # admitted 99996..100000; at R = 2 the argmax is Simpson's exact set
+    monkeypatch.setattr(placement, "check_dense_size", lambda n: None)
+    n = 10**5
+    result = brute_force_best(path(n), 1, 2)
+    assert result.argmax_simpson == result.argmax_shannon == {n}
+
+
+def test_empty_batch_checks_its_inputs_and_builds_nothing(no_inverse):
+    g = build_graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1), (1, 4)])
+    assert brute_force_tables(g, [], 2) == {}
+    with pytest.raises(UnsupportedBinCount):
+        brute_force_tables(g, [], 1)
+    assert g._tree_cache is None and g._green_cache is None

@@ -6,6 +6,7 @@ snap tolerance for the balanced-placement check. The package now reads both
 from one depth-first pass from l0: the split from the preorder runs of the
 subtrees along the l0–l1 spine, the balanced check from their sizes.
 """
+import functools
 import itertools
 import random
 from collections import deque
@@ -49,15 +50,15 @@ def bfs_path(g, a, b):
     return out[::-1]
 
 
-def oracle_partition(g, l0, l1):
-    """(P1, P2, P3) from two BFS paths per follower."""
+def oracle_partition(g, l0, l1, path=bfs_path):
+    """(P1, P2, P3) from two BFS paths per follower, found by `path`: `bfs_path` or a memo of it."""
     p1, p2, p3 = set(), set(), set()
     for v in range(1, g.n + 1):
         if v in (l0, l1):
             continue
-        if l0 in bfs_path(g, v, l1):
+        if l0 in path(g, v, l1):
             p1.add(v)
-        elif l1 in bfs_path(g, v, l0):
+        elif l1 in path(g, v, l0):
             p3.add(v)
         else:
             p2.add(v)
@@ -135,9 +136,10 @@ class TestAgainstOracles:
     def test_every_labelled_tree_up_to_6(self):
         pairs = certified = 0
         for g in labelled_trees(6):
+            path = functools.cache(bfs_path)  # each BFS path of g found once, for every pair
             for l0, l1 in itertools.permutations(range(1, g.n + 1), 2):
-                parts = oracle_partition(g, l0, l1)
-                assert tree_path(g, l0, l1) == bfs_path(g, l0, l1)
+                parts = oracle_partition(g, l0, l1, path)
+                assert tree_path(g, l0, l1) == path(g, l0, l1)
                 assert partition_followers(g, l0, l1) == parts
                 balanced = check_balanced_tree_placement(g, l0, l1)
                 assert balanced == oracle_balanced(g, l0, l1, parts)
@@ -150,9 +152,10 @@ class TestAgainstOracles:
     def test_default_trees_r2_sweep(self, monkeypatch):
         # the sweep `opdiv verify trees-R2` runs at its default bound
         checked = []
+        path = functools.cache(bfs_path)  # each BFS path of each tree found once
 
         def both(g, l0, l1):
-            parts = oracle_partition(g, l0, l1)
+            parts = oracle_partition(g, l0, l1, path)
             got = check_balanced_tree_placement(g, l0, l1)
             assert got == oracle_balanced(g, l0, l1, parts), (sorted(g.edges), l0, l1)
             assert partition_followers(g, l0, l1) == parts
